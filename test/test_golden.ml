@@ -1,0 +1,116 @@
+(* Golden digests: MD5s of three whole runs, pinned so that any change
+   in simulated behaviour — agenda order, rule lookup, sender
+   arithmetic — fails here, without needing a second implementation to
+   compare against.
+
+   - a tiny optimizer design (rule table, final score, counters);
+   - a faulted dumbbell (outages, Gilbert–Elliott loss, reordering);
+   - a 256-flow incast on the SoA fleet with the datacenter table, which
+     drives the allocation-free [Rule_tree.lookup3] on every ack.
+
+   Floats enter the digests as their IEEE bit patterns, so a one-ulp
+   drift is a failure.  A deliberate behaviour change must update the
+   pinned digests in the same commit and say why. *)
+
+open Remy
+open Remy_sim
+open Remy_cc
+
+let bits f = Printf.sprintf "%016Lx" (Int64.bits_of_float f)
+let digest s = Digest.to_hex (Digest.string s)
+
+let flows_repr (flows : Metrics.flow_summary array) =
+  String.concat ";"
+    (Array.to_list
+       (Array.map
+          (fun (f : Metrics.flow_summary) ->
+            Printf.sprintf "%d,%d,%s,%s,%s" f.Metrics.packets f.Metrics.bytes
+              (bits f.Metrics.throughput_mbps)
+              (bits f.Metrics.mean_queueing_delay_ms)
+              (bits f.Metrics.on_time))
+          flows))
+
+(* --- tiny design ------------------------------------------------------ *)
+
+let tiny_model =
+  { (Net_model.onex ~sim_duration:2.0 ()) with Net_model.max_senders = 1 }
+
+let design_config () =
+  Optimizer.default_config ~specimens_per_step:3 ~domains:2
+    ~candidate_multipliers:[ 1. ] ~rounds_per_rule:2 ~k_subdivide:1
+    ~max_epochs:2 ~wall_budget_s:300. ~seed:5 ~model:tiny_model
+    ~objective:(Objective.proportional ~delta:1.0) ()
+
+let design_repr () =
+  let r = Optimizer.design (design_config ()) in
+  Printf.sprintf "%s|%s|%d|%d"
+    (Remy_util.Sexp.to_string (Rule_tree.to_sexp_full r.Optimizer.tree))
+    (bits r.Optimizer.final_score) r.Optimizer.evaluations
+    r.Optimizer.improvements
+
+(* --- faulted dumbbell ------------------------------------------------- *)
+
+let faulted_dumbbell_repr () =
+  let faults =
+    match
+      Remy_faults.Spec.parse "outage:1+0.5+5;ge:0.02,0.2,0.4;reorder:0.05,0.005"
+    with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let transfer =
+    {
+      Workload.off_time = Remy_util.Dist.Constant infinity;
+      on_spec =
+        Workload.By_bytes
+          (Remy_util.Dist.Constant (float_of_int (200 * Packet.default_size)));
+    }
+  in
+  let config =
+    {
+      Dumbbell.service = Dumbbell.Rate_mbps 10.;
+      qdisc = Dumbbell.Droptail 1000;
+      flows =
+        Array.init 2 (fun _ ->
+            {
+              Dumbbell.cc = Newreno.factory ();
+              rtt = 0.1;
+              workload = transfer;
+              start = `Immediate;
+            });
+      duration = 30.;
+      seed = 9;
+      min_rto = Dumbbell.default_min_rto;
+    }
+  in
+  flows_repr (Dumbbell.run ~faults config).Dumbbell.flows
+
+(* --- 256-flow incast on the fleet -------------------------------------- *)
+
+let incast_repr () =
+  let tree =
+    match Remy_scenarios.Tables.load "datacenter" with
+    | Ok t -> t
+    | Error e -> Alcotest.fail e
+  in
+  let r =
+    Topology.run ~sender_factory:(Fleet.factory tree)
+      (Topology.incast ~n:256 ~cc:(Remycc.factory tree) ~duration:1.0 ~seed:3 ())
+  in
+  Printf.sprintf "%s|%d|%d|%d|%s" (flows_repr r.Topology.flows) r.Topology.drops
+    r.Topology.delivered r.Topology.received
+    (bits r.Topology.bottleneck_utilization)
+
+let pinned name expected repr () =
+  Alcotest.(check string) (name ^ " digest") expected (digest (repr ()))
+
+let tests =
+  [
+    Alcotest.test_case "tiny design" `Slow
+      (pinned "design" "30217e98a75baa0f0f16dde53935ac3e" design_repr);
+    Alcotest.test_case "faulted dumbbell" `Quick
+      (pinned "faulted dumbbell" "2d56e3876264cbc748aaa23dd8406e10"
+         faulted_dumbbell_repr);
+    Alcotest.test_case "256-flow incast on the fleet" `Quick
+      (pinned "incast" "f27684a1fd1bdd26c9d012666c6c4257" incast_repr);
+  ]

@@ -64,4 +64,5 @@ let () =
       ("data-tables", Test_data_tables.tests);
       ("analysis", Test_analysis.tests);
       ("lint", Test_lint.tests);
+      ("golden", Test_golden.tests);
     ]
