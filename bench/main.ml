@@ -19,17 +19,6 @@ let micro_tests () =
   let prng_test =
     Test.make ~name:"prng/bits64" (Staged.stage (fun () -> ignore (Prng.bits64 prng)))
   in
-  let heap_test =
-    Test.make ~name:"heap/push+pop-64"
-      (Staged.stage (fun () ->
-           let h = Heap.create () in
-           for i = 0 to 63 do
-             Heap.push h (float_of_int (i * 7919 mod 64)) i
-           done;
-           while not (Heap.is_empty h) do
-             ignore (Heap.pop h)
-           done))
-  in
   let ewma = Ewma.create_at ~alpha:0.125 0. in
   let ewma_test =
     Test.make ~name:"ewma/update" (Staged.stage (fun () -> Ewma.update ewma 1.5))
@@ -79,8 +68,7 @@ let micro_tests () =
   in
   Test.make_grouped ~name:"remy"
     [
-      prng_test; heap_test; ewma_test; memory_test; lookup_test; engine_test;
-      codel_test;
+      prng_test; ewma_test; memory_test; lookup_test; engine_test; codel_test;
     ]
 
 let micro_rows () =
@@ -280,8 +268,7 @@ let pp_dist fmt (rows : dist_row list) =
 
 (* Hot-path throughput with the optimizer out of the picture: a dumbbell
    simulation driven by a realistically subdivided RemyCC table, measured
-   via the Remy_obs.Counters deltas, plus a tight rule-lookup loop that
-   pits the compiled index against raw tree descent. *)
+   via the Remy_obs.Counters deltas, plus a tight rule-lookup loop. *)
 type sim_result = {
   sb_sim_s : float;  (* simulated seconds across all repetitions *)
   sb_wall_s : float;
@@ -290,7 +277,6 @@ type sim_result = {
   sb_acks : int;
   sb_acks_per_sec : float;
   sb_lookups_per_sec : float;
-  sb_tree_lookups_per_sec : float;
   sb_minor_words_per_sim_s : float;
   sb_pool_hit_rate : float;
   sb_counters : Remy_obs.Counters.snapshot;
@@ -362,18 +348,16 @@ let run_sim_bench ~smoke =
           ~rtt_ratio:(Remy_util.Prng.float rng 8.))
   in
   let n_lookups = if smoke then 2_000_000 else 8_000_000 in
-  let time_lookups f =
+  let lookups_per_sec =
     let t0 = Unix.gettimeofday () in
     let acc = ref 0 in
     for i = 0 to n_lookups - 1 do
-      acc := !acc + f tree (Array.unsafe_get probes (i land 1023))
+      acc := !acc + Rule_tree.lookup tree (Array.unsafe_get probes (i land 1023))
     done;
     ignore (Sys.opaque_identity !acc);
     float_of_int n_lookups /. (Unix.gettimeofday () -. t0)
   in
-  let lookups_per_sec = time_lookups Rule_tree.lookup in
-  let tree_lookups_per_sec = time_lookups Rule_tree.lookup_uncompiled in
-  Remy_obs.Counters.add Remy_obs.Counters.lookups (2 * n_lookups);
+  Remy_obs.Counters.add Remy_obs.Counters.lookups n_lookups;
   let counters = Remy_obs.Counters.diff (Remy_obs.Counters.snapshot ()) c0 in
   let sim_s = duration *. float_of_int reps in
   let pool_total = snap.Remy_obs.Counters.pool_hits + snap.Remy_obs.Counters.pool_misses in
@@ -385,7 +369,6 @@ let run_sim_bench ~smoke =
     sb_acks = snap.Remy_obs.Counters.acks_processed;
     sb_acks_per_sec = float_of_int snap.Remy_obs.Counters.acks_processed /. wall;
     sb_lookups_per_sec = lookups_per_sec;
-    sb_tree_lookups_per_sec = tree_lookups_per_sec;
     sb_minor_words_per_sim_s = minor_words /. sim_s;
     sb_pool_hit_rate =
       (if pool_total > 0 then
@@ -397,42 +380,24 @@ let run_sim_bench ~smoke =
 let pp_sim fmt (s : sim_result) =
   Format.fprintf fmt
     "@.==== Simulator microbench (%g simulated s) ====@.@.%d events in %.2f s = \
-     %.0f events/s; %d acks = %.0f acks/s; lookups %.2g/s compiled vs %.2g/s \
-     tree; %.3g minor words per simulated second; pool hit rate %.3f@."
+     %.0f events/s; %d acks = %.0f acks/s; lookups %.2g/s; %.3g minor words \
+     per simulated second; pool hit rate %.3f@."
     s.sb_sim_s s.sb_events s.sb_wall_s s.sb_events_per_sec s.sb_acks
-    s.sb_acks_per_sec s.sb_lookups_per_sec s.sb_tree_lookups_per_sec
-    s.sb_minor_words_per_sim_s s.sb_pool_hit_rate
+    s.sb_acks_per_sec s.sb_lookups_per_sec s.sb_minor_words_per_sim_s
+    s.sb_pool_hit_rate
 
-(* --- wheel-vs-heap agenda microbench ---------------------------------- *)
+(* --- agenda hold microbench -------------------------------------------- *)
 
 (* The classic "hold" benchmark for event queues: preload N pending
    events, then repeatedly pop the minimum and push a replacement a
    random delta later, which is exactly the steady-state access pattern
-   of the simulator agenda.  The heap is O(log n) per hold, the wheel
-   amortized O(1); the gap should widen with N. *)
+   of the simulator agenda.  The timing wheel is amortized O(1) per
+   hold, so the rate should stay flat as N grows. *)
 type hold_result = {
   hd_pending : int;
   hd_ops : int;
-  hd_wheel_ops_per_sec : float;
-  hd_heap_ops_per_sec : float;
+  hd_ops_per_sec : float;
 }
-
-let hold_heap ~pending ~ops =
-  let open Remy_util in
-  let rng = Prng.create 7 in
-  let h = Heap.create () in
-  for i = 0 to pending - 1 do
-    Heap.push h (Prng.float rng 1.0) i
-  done;
-  let t0 = Unix.gettimeofday () in
-  for _ = 1 to ops do
-    let p = Heap.min_prio h in
-    let v = Heap.pop_exn h in
-    Heap.push h (p +. Prng.float rng 0.01) v
-  done;
-  let wall = Unix.gettimeofday () -. t0 in
-  ignore (Sys.opaque_identity (Heap.size h));
-  float_of_int ops /. wall
 
 let hold_wheel ~pending ~ops =
   let open Remy_util in
@@ -451,7 +416,7 @@ let hold_wheel ~pending ~ops =
   ignore (Sys.opaque_identity (Timing_wheel.size w));
   float_of_int ops /. wall
 
-let run_wheel_vs_heap ~smoke =
+let run_hold ~smoke =
   List.map
     (fun pending ->
       let ops =
@@ -461,134 +426,68 @@ let run_wheel_vs_heap ~smoke =
       {
         hd_pending = pending;
         hd_ops = ops;
-        hd_wheel_ops_per_sec = hold_wheel ~pending ~ops;
-        hd_heap_ops_per_sec = hold_heap ~pending ~ops;
+        hd_ops_per_sec = hold_wheel ~pending ~ops;
       })
     [ 64; 4096; 65536 ]
 
 let pp_hold fmt (rows : hold_result list) =
   Format.fprintf fmt
     "@.==== Agenda hold benchmark (pop-min + push replacement) ====@.@.%-10s \
-     %14s %14s %8s@."
-    "pending" "wheel ops/s" "heap ops/s" "ratio";
+     %14s@."
+    "pending" "wheel ops/s";
   List.iter
-    (fun r ->
-      Format.fprintf fmt "%-10d %14.0f %14.0f %7.2fx@." r.hd_pending
-        r.hd_wheel_ops_per_sec r.hd_heap_ops_per_sec
-        (r.hd_wheel_ops_per_sec /. r.hd_heap_ops_per_sec))
+    (fun r -> Format.fprintf fmt "%-10d %14.0f@." r.hd_pending r.hd_ops_per_sec)
     rows
 
 (* --- flow-scale simulator benchmark ----------------------------------- *)
 
-(* The tentpole measurement: end-to-end simulator throughput as the
-   flow count grows, on the multi-bottleneck topologies.  Two arms per
-   configuration — the timing-wheel agenda driving the SoA sender fleet
-   versus the binary-heap agenda driving per-record senders (the
-   pre-PR architecture) — both bit-identical in results, so the ratio
-   is a pure wall-time speedup.  Pool hit rates report how well the
-   BDP-based pre-sizing fits each scenario. *)
-type scale_arm = {
-  sa_wall_s : float;
-  sa_events : int;
-  sa_events_per_sec : float;
-  sa_acks : int;
-  sa_acks_per_sec : float;
-  sa_pool_hit_rate : float;
-}
-
+(* End-to-end simulator throughput as the flow count grows, on the
+   multi-bottleneck topologies: the timing-wheel agenda driving the SoA
+   sender fleet.  Pool hit rates report how well the BDP-based
+   pre-sizing fits each scenario. *)
 type scale_row = {
   sc_scenario : string;
   sc_flows : int;
   sc_sim_s : float;
-  sc_wheel : scale_arm; (* timing-wheel agenda + SoA fleet *)
-  sc_heap : scale_arm; (* heap agenda + per-record senders *)
+  sc_events : int;
+  sc_events_per_sec : float;
+  sc_acks_per_sec : float;
+  sc_pool_hit_rate : float;
 }
 
-let arm_of_rep wall (snap : Remy_obs.Counters.snapshot) =
+(* Keep the best-wall rep: a single-vCPU CI box loses tens of percent
+   to host-side contention that drifts on a seconds scale, and the
+   minimum converges on the code's real speed. *)
+let measure_cell ~reps ~scenario ~n tree (config : unit -> Remy_cc.Topology.config) =
+  let best = ref infinity and best_snap = ref None in
+  for _ = 1 to reps do
+    let c0 = Remy_obs.Counters.snapshot () in
+    let t0 = Unix.gettimeofday () in
+    ignore
+      (Remy_cc.Topology.run ~sender_factory:(Remy.Fleet.factory tree) (config ()));
+    let wall = Unix.gettimeofday () -. t0 in
+    if wall < !best then begin
+      best := wall;
+      best_snap := Some (Remy_obs.Counters.diff (Remy_obs.Counters.snapshot ()) c0)
+    end
+  done;
+  let snap = Option.get !best_snap and wall = !best in
   let pool_total =
     snap.Remy_obs.Counters.pool_hits + snap.Remy_obs.Counters.pool_misses
   in
   {
-    sa_wall_s = wall;
-    sa_events = snap.Remy_obs.Counters.events_run;
-    sa_events_per_sec = float_of_int snap.Remy_obs.Counters.events_run /. wall;
-    sa_acks = snap.Remy_obs.Counters.acks_processed;
-    sa_acks_per_sec = float_of_int snap.Remy_obs.Counters.acks_processed /. wall;
-    sa_pool_hit_rate =
+    sc_scenario = scenario;
+    sc_flows = n;
+    sc_sim_s = (config ()).Remy_cc.Topology.duration;
+    sc_events = snap.Remy_obs.Counters.events_run;
+    sc_events_per_sec = float_of_int snap.Remy_obs.Counters.events_run /. wall;
+    sc_acks_per_sec = float_of_int snap.Remy_obs.Counters.acks_processed /. wall;
+    sc_pool_hit_rate =
       (if pool_total > 0 then
          float_of_int snap.Remy_obs.Counters.pool_hits
          /. float_of_int pool_total
        else 0.);
   }
-
-(* Measure several arms with their reps interleaved — rep 1 of every
-   arm, then rep 2, and so on — keeping each arm's best-wall rep.  A
-   single-vCPU CI box loses tens of percent to host-side contention
-   that drifts on a seconds scale, so running one arm's reps
-   back-to-back before the next arm's biases any ratio between them;
-   interleaving spreads a slow window across all arms, and the
-   per-arm minimum converges on the code's real speed. *)
-let measure_arms ~reps (arms : (bool * (unit -> unit)) list) =
-  let n = List.length arms in
-  let best = Array.make n infinity and snaps = Array.make n None in
-  Fun.protect
-    ~finally:(fun () -> Remy_sim.Engine.use_wheel true)
-    (fun () ->
-      for _ = 1 to reps do
-        List.iteri
-          (fun i (wheel, body) ->
-            Remy_sim.Engine.use_wheel wheel;
-            let c0 = Remy_obs.Counters.snapshot () in
-            let t0 = Unix.gettimeofday () in
-            body ();
-            let wall = Unix.gettimeofday () -. t0 in
-            let snap =
-              Remy_obs.Counters.diff (Remy_obs.Counters.snapshot ()) c0
-            in
-            if wall < best.(i) then begin
-              best.(i) <- wall;
-              snaps.(i) <- Some snap
-            end)
-          arms
-      done);
-  Array.to_list
-    (Array.init n (fun i -> arm_of_rep best.(i) (Option.get snaps.(i))))
-
-let scale_body ~fleet tree (config : unit -> Remy_cc.Topology.config) () =
-  if fleet then
-    ignore
-      (Remy_cc.Topology.run ~sender_factory:(Remy.Fleet.factory tree) (config ()))
-  else ignore (Remy_cc.Topology.run (config ()))
-
-(* The incast baseline arm runs the PRE-PR architecture end to end:
-   [Dumbbell.run] (per-flow sender and receiver records, closure
-   wiring) on the heap agenda.  The default incast topology is a
-   single link with routes [|0|], for which test_topology proves the
-   two runners bit-identical flow for flow — so the speedup is pure
-   wall time, old stack vs new stack, on identical work. *)
-let dumbbell_body tree ~n ~rtt_s ~burst_kb ~period_s ~duration () =
-  let open Remy_cc in
-  let flows =
-    Array.init n (fun _ ->
-        {
-          Dumbbell.cc = Remy.Remycc.factory tree;
-          rtt = rtt_s;
-          workload =
-            Remy_sim.Workload.incast ~burst_bytes:(burst_kb *. 1e3)
-              ~period:period_s;
-          start = `Immediate;
-        })
-  in
-  ignore
-    (Dumbbell.run
-       {
-         Dumbbell.service = Dumbbell.Rate_mbps 1000.;
-         qdisc = Dumbbell.Droptail 1000;
-         flows;
-         duration;
-         seed = 71;
-         min_rto = Dumbbell.default_min_rto;
-       })
 
 let run_sim_scale ~smoke =
   let open Remy_cc in
@@ -606,72 +505,30 @@ let run_sim_scale ~smoke =
   let cells = [ (16, 4.0, 8.0); (256, 2.0, 4.0); (4096, 2.0, 2.0) ] in
   List.concat_map
     (fun (n, incast_dur, parking_dur) ->
-      let incast_cfg () =
-        Topology.incast ~rtt_s ~burst_kb ~period_s ~n
-          ~cc:(Remy.Remycc.factory tree)
-          ~duration:(incast_dur *. scale) ~seed:71 ()
-      in
-      let parking_cfg () =
-        Topology.parking_lot ~n
-          ~cc:(Remy.Remycc.factory tree)
-          ~workload:(Remy_sim.Workload.by_time ~mean_on:1.0 ~mean_off:0.2)
-          ~start:`Off_draw
-          ~duration:(parking_dur *. scale) ~seed:72 ()
-      in
-      let incast_wheel, incast_heap =
-        match
-          measure_arms ~reps
-            [
-              (true, scale_body ~fleet:true tree incast_cfg);
-              ( false,
-                dumbbell_body tree ~n ~rtt_s ~burst_kb ~period_s
-                  ~duration:(incast_dur *. scale) );
-            ]
-        with
-        | [ w; h ] -> (w, h)
-        | _ -> assert false
-      in
-      let parking_wheel, parking_heap =
-        match
-          measure_arms ~reps
-            [
-              (true, scale_body ~fleet:true tree parking_cfg);
-              (false, scale_body ~fleet:false tree parking_cfg);
-            ]
-        with
-        | [ w; h ] -> (w, h)
-        | _ -> assert false
-      in
       [
-        {
-          sc_scenario = "incast";
-          sc_flows = n;
-          sc_sim_s = (incast_cfg ()).Topology.duration;
-          sc_wheel = incast_wheel;
-          sc_heap = incast_heap;
-        };
-        {
-          sc_scenario = "parkinglot";
-          sc_flows = n;
-          sc_sim_s = (parking_cfg ()).Topology.duration;
-          sc_wheel = parking_wheel;
-          sc_heap = parking_heap;
-        };
+        measure_cell ~reps ~scenario:"incast" ~n tree (fun () ->
+            Topology.incast ~rtt_s ~burst_kb ~period_s ~n
+              ~cc:(Remy.Remycc.factory tree)
+              ~duration:(incast_dur *. scale) ~seed:71 ());
+        measure_cell ~reps ~scenario:"parkinglot" ~n tree (fun () ->
+            Topology.parking_lot ~n
+              ~cc:(Remy.Remycc.factory tree)
+              ~workload:(Remy_sim.Workload.by_time ~mean_on:1.0 ~mean_off:0.2)
+              ~start:`Off_draw
+              ~duration:(parking_dur *. scale) ~seed:72 ());
       ])
     cells
 
 let pp_scale fmt (rows : scale_row list) =
   Format.fprintf fmt
-    "@.==== Flow-scale benchmark (wheel+fleet vs pre-PR heap stack) ====@.@.%-12s \
-     %6s %6s %13s %13s %8s %9s@."
-    "scenario" "flows" "sim s" "events/s" "baseline" "speedup" "pool hit";
+    "@.==== Flow-scale benchmark (timing wheel + SoA fleet) ====@.@.%-12s %6s \
+     %6s %13s %13s %9s@."
+    "scenario" "flows" "sim s" "events/s" "acks/s" "pool hit";
   List.iter
     (fun r ->
-      Format.fprintf fmt "%-12s %6d %6.2g %13.0f %13.0f %7.2fx %9.3f@."
-        r.sc_scenario r.sc_flows r.sc_sim_s r.sc_wheel.sa_events_per_sec
-        r.sc_heap.sa_events_per_sec
-        (r.sc_wheel.sa_events_per_sec /. r.sc_heap.sa_events_per_sec)
-        r.sc_wheel.sa_pool_hit_rate)
+      Format.fprintf fmt "%-12s %6d %6.2g %13.0f %13.0f %9.3f@." r.sc_scenario
+        r.sc_flows r.sc_sim_s r.sc_events_per_sec r.sc_acks_per_sec
+        r.sc_pool_hit_rate)
     rows
 
 (* --- machine-readable output ------------------------------------------ *)
@@ -696,27 +553,23 @@ let json_float f =
 let counters_json (c : Remy_obs.Counters.snapshot) =
   Printf.sprintf
     "{\"events_run\": %d, \"acks_processed\": %d, \"lookups\": %d, \
-     \"index_builds\": %d, \"pool_hits\": %d, \"pool_misses\": %d}"
+     \"pool_hits\": %d, \"pool_misses\": %d}"
     c.Remy_obs.Counters.events_run c.Remy_obs.Counters.acks_processed
-    c.Remy_obs.Counters.lookups c.Remy_obs.Counters.index_builds
-    c.Remy_obs.Counters.pool_hits c.Remy_obs.Counters.pool_misses
+    c.Remy_obs.Counters.lookups c.Remy_obs.Counters.pool_hits
+    c.Remy_obs.Counters.pool_misses
 
 (* The gate's extractor finds the FIRST occurrence of a quoted key, so
    every numeric key below is globally unique across the document:
-   hold rows are prefixed wheel_/heap_ + the pending count, scale rows
-   by scenario + flow count (baseline_ marks the heap+records arm). *)
+   hold rows are prefixed by the pending count, scale rows by scenario +
+   flow count. *)
 let hold_json oc (rows : hold_result list) =
   let out fmt = Printf.fprintf oc fmt in
-  out "  \"wheel_vs_heap\": {\n";
+  out "  \"agenda_hold\": {\n";
   List.iteri
     (fun i (r : hold_result) ->
       out "    \"hold%d_ops\": %d,\n" r.hd_pending r.hd_ops;
-      out "    \"wheel_hold%d_ops_per_sec\": %s,\n" r.hd_pending
-        (json_float r.hd_wheel_ops_per_sec);
-      out "    \"heap_hold%d_ops_per_sec\": %s,\n" r.hd_pending
-        (json_float r.hd_heap_ops_per_sec);
-      out "    \"hold%d_ratio\": %s%s\n" r.hd_pending
-        (json_float (r.hd_wheel_ops_per_sec /. r.hd_heap_ops_per_sec))
+      out "    \"wheel_hold%d_ops_per_sec\": %s%s\n" r.hd_pending
+        (json_float r.hd_ops_per_sec)
         (if i = List.length rows - 1 then "" else ","))
     rows;
   out "  },\n"
@@ -728,21 +581,10 @@ let scale_json oc (rows : scale_row list) =
     (fun i (r : scale_row) ->
       let key = Printf.sprintf "%s%d" r.sc_scenario r.sc_flows in
       out "    \"%s_sim_s\": %s,\n" key (json_float r.sc_sim_s);
-      out "    \"%s_events\": %d,\n" key r.sc_wheel.sa_events;
-      out "    \"%s_events_per_sec\": %s,\n" key
-        (json_float r.sc_wheel.sa_events_per_sec);
-      out "    \"%s_acks_per_sec\": %s,\n" key
-        (json_float r.sc_wheel.sa_acks_per_sec);
-      out "    \"%s_pool_hit_rate\": %s,\n" key
-        (json_float r.sc_wheel.sa_pool_hit_rate);
-      out "    \"%s_baseline_events_per_sec\": %s,\n" key
-        (json_float r.sc_heap.sa_events_per_sec);
-      out "    \"%s_baseline_acks_per_sec\": %s,\n" key
-        (json_float r.sc_heap.sa_acks_per_sec);
-      out "    \"%s_baseline_pool_hit_rate\": %s,\n" key
-        (json_float r.sc_heap.sa_pool_hit_rate);
-      out "    \"%s_speedup\": %s%s\n" key
-        (json_float (r.sc_wheel.sa_events_per_sec /. r.sc_heap.sa_events_per_sec))
+      out "    \"%s_events\": %d,\n" key r.sc_events;
+      out "    \"%s_events_per_sec\": %s,\n" key (json_float r.sc_events_per_sec);
+      out "    \"%s_acks_per_sec\": %s,\n" key (json_float r.sc_acks_per_sec);
+      out "    \"%s_pool_hit_rate\": %s%s\n" key (json_float r.sc_pool_hit_rate)
         (if i = List.length rows - 1 then "" else ","))
     rows;
   out "  },\n"
@@ -770,7 +612,6 @@ let write_json path micro (macro : macro_result) (sim : sim_result)
   out "    \"acks\": %d,\n" sim.sb_acks;
   out "    \"acks_per_sec\": %s,\n" (json_float sim.sb_acks_per_sec);
   out "    \"lookups_per_sec\": %s,\n" (json_float sim.sb_lookups_per_sec);
-  out "    \"tree_lookups_per_sec\": %s,\n" (json_float sim.sb_tree_lookups_per_sec);
   out "    \"minor_words_per_sim_s\": %s,\n" (json_float sim.sb_minor_words_per_sim_s);
   out "    \"pool_hit_rate\": %s,\n" (json_float sim.sb_pool_hit_rate);
   out "    \"counters\": %s\n" (counters_json sim.sb_counters);
@@ -860,20 +701,12 @@ let gated_metrics =
     "events_per_sec";
     "acks_per_sec";
     "lookups_per_sec";
-    (* Agenda hold throughput at simulator-scale pending counts. *)
+    (* Agenda hold throughput at a simulator-scale pending count. *)
     "wheel_hold4096_ops_per_sec";
-    "heap_hold4096_ops_per_sec";
-    (* Flow-scale end-to-end throughput (wheel+fleet arm) at the
-       4096-flow target, plus its baseline arm so the pre-PR
-       architecture cannot silently rot either. *)
+    (* Flow-scale end-to-end throughput at the 4096-flow target. *)
     "incast4096_events_per_sec";
     "incast4096_acks_per_sec";
     "parkinglot4096_events_per_sec";
-    (* Ratio metrics: both arms run back-to-back in one process, so
-       these survive machine-wide speed swings that would trip the
-       absolute rates above. *)
-    "hold4096_ratio";
-    "incast4096_speedup";
   ]
 
 let run_gate ?(metrics = gated_metrics) ~tolerance ~candidate ~baseline () =
@@ -901,12 +734,17 @@ let run_gate ?(metrics = gated_metrics) ~tolerance ~candidate ~baseline () =
         in
         Printf.printf "%-22s baseline %14.1f  candidate %14.1f  %5.2fx  %s\n" key
           b c ratio verdict
-      | None, _ -> Printf.printf "%-22s missing in candidate; skipped\n" key
+      | None, _ ->
+        (* A gated metric the fresh run no longer reports is a removed
+           arm, not a pass: un-gate it explicitly instead. *)
+        incr failures;
+        Printf.printf "%-22s missing in candidate  FAIL\n" key
       | _, None -> Printf.printf "%-22s missing in baseline; skipped\n" key
       | Some _, Some _ -> Printf.printf "%-22s baseline non-positive; skipped\n" key)
     metrics;
   if !failures > 0 then
-    Printf.printf "regression gate: FAIL (%d metric(s) regressed by more than %.0f%%)\n"
+    Printf.printf
+      "regression gate: FAIL (%d metric(s) missing or regressed by more than %.0f%%)\n"
       !failures (100. *. tolerance)
   else
     Printf.printf "regression gate: ok (all gated metrics within %.0f%% of baseline)\n"
@@ -967,10 +805,8 @@ let run full only micro_only replications duration seed out json smoke
     Format.fprintf fmt "running simulator microbench...@.";
     let sim = Remy_obs.Profiler.span "sim_micro" (fun () -> run_sim_bench ~smoke) in
     pp_sim fmt sim;
-    Format.fprintf fmt "running wheel-vs-heap hold benchmark...@.";
-    let hold =
-      Remy_obs.Profiler.span "wheel_vs_heap" (fun () -> run_wheel_vs_heap ~smoke)
-    in
+    Format.fprintf fmt "running agenda hold benchmark...@.";
+    let hold = Remy_obs.Profiler.span "agenda_hold" (fun () -> run_hold ~smoke) in
     pp_hold fmt hold;
     Format.fprintf fmt "running flow-scale benchmark...@.";
     let scale =
@@ -1104,7 +940,7 @@ let cmd =
              against it after the run; with --gate, compare two existing \
              files.  Exits 1 if any gated throughput metric (evals/s, \
              events/s, acks/s, lookups/s) falls more than --tolerance below \
-             the baseline."
+             the baseline, or is missing from the candidate."
           ~docv:"FILE")
   in
   let gate_candidate =
@@ -1131,7 +967,7 @@ let cmd =
           ~doc:
             "Comma-separated metric keys for the regression gate (default: \
              evals_per_sec, events_per_sec, acks_per_sec, lookups_per_sec, \
-             the 4096-pending agenda hold rates, and the 4096-flow \
+             the 4096-pending agenda hold rate, and the 4096-flow \
              incast/parking-lot scale rates).  CI's obs-overhead job gates \
              only evals_per_sec with a tight tolerance.")
   in

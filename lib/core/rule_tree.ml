@@ -10,60 +10,51 @@ type rule = {
 
 type node = Leaf of int | Split of { point : float array; children : node array }
 
-(* Compiled lookup index: the live rules' boxes tile memory space, so the
-   distinct box edges per dimension induce a grid of elementary cells,
-   each wholly inside exactly one rule (the same decomposition
-   [Boxpart.check] uses to decide partition-hood).  [cuts.(d)] holds the
-   sorted lower edges of the cells along dimension [d] (cell [i] spans
-   [cuts.(d).(i), cuts.(d).(i+1)), the last cell extending to the domain
-   edge) and [grid] maps each cell, row-major via [strides], to its rule
-   id.  Lookup is then one binary search per dimension plus a single
-   array read — no pointer-chasing tree descent. *)
-type index = {
-  cuts : float array array;
-  strides : int array;
-  grid : int array;
-}
-
-type index_state = Unbuilt | Too_large | Built of index
-
 type t = {
   mutable root : node;
   mutable rules : rule array;
   mutable live : int;
-  mutable index : index_state;
 }
-
-(* Global toggle so determinism tests can run whole designs with the
-   compiled index off and compare bit-for-bit.  Atomic: flipped by tests
-   while parallel evaluators look rules up; an Atomic.get on the lookup
-   path costs the same as a plain load on x86/ARM. *)
-let compiled = Atomic.make true
-let use_compiled_lookup b = Atomic.set compiled b
-let compiled_lookup_enabled () = Atomic.get compiled
-
-(* A dense grid over a heavily subdivided table can explode (cells grow
-   with the product of per-dimension cuts); past this many cells the
-   table keeps tree descent.  Real Remy tables (the paper reports
-   162-204 rules) compile to a few thousand cells. *)
-let max_index_cells = 1 lsl 22
 
 let whole_box () =
   (Array.make Memory.dims 0., Array.make Memory.dims Memory.max_value)
 
-let child_index point m =
-  let idx = ref 0 in
-  for d = 0 to Memory.dims - 1 do
-    if Memory.get m d >= point.(d) then idx := !idx lor (1 lsl d)
-  done;
-  !idx
+(* Top-level recursions taking the point as an argument: a local
+   [let rec] capturing it would allocate a closure per lookup.  At each
+   split, bit [d] of the child index is set when coordinate [d] is at or
+   above the split point (a NaN compares false and goes low).  Reading
+   the record's fields directly keeps the floats unboxed. *)
+(* remy-lint: hot *)
+let rec descend (m : Memory.t) = function
+  | Leaf id -> id
+  | Split { point; children } ->
+    let i =
+      (if m.ack_ewma >= point.(0) then 1 else 0)
+      lor (if m.send_ewma >= point.(1) then 2 else 0)
+      lor (if m.rtt_ratio >= point.(2) then 4 else 0)
+    in
+    descend m children.(i)
 
-let lookup_uncompiled t m =
-  let rec go = function
-    | Leaf id -> id
-    | Split { point; children } -> go children.(child_index point m)
-  in
-  go t.root
+let lookup t m = descend m t.root
+let lookup_uncompiled = lookup
+
+(* The same descent over the three coordinates, each clamped as
+   [Memory.make] would, without building the record: per-ack hot paths. *)
+(* remy-lint: hot *)
+let rec descend3 a s r = function
+  | Leaf id -> id
+  | Split { point; children } ->
+    let i =
+      (if a >= point.(0) then 1 else 0)
+      lor (if s >= point.(1) then 2 else 0)
+      lor (if r >= point.(2) then 4 else 0)
+    in
+    descend3 a s r children.(i)
+
+(* remy-lint: hot *)
+let lookup3 t ~ack_ewma ~send_ewma ~rtt_ratio =
+  descend3 (Memory.clamp ack_ewma) (Memory.clamp send_ewma)
+    (Memory.clamp rtt_ratio) t.root
 
 let live_ids t =
   let rec go acc = function
@@ -72,162 +63,17 @@ let live_ids t =
   in
   List.rev (go [] t.root)
 
-(* --- index construction --------------------------------------------- *)
-
-(* Sort [vals] and drop duplicates, in place conceptually. *)
-let sorted_distinct vals =
-  Array.sort Float.compare vals;
-  let n = Array.length vals in
-  let out = Array.make (max n 1) 0. in
-  let k = ref 0 in
-  for i = 0 to n - 1 do
-    if !k = 0 || out.(!k - 1) <> vals.(i) then begin
-      out.(!k) <- vals.(i);
-      incr k
-    end
-  done;
-  Array.sub out 0 !k
-
-(* Index of [v] in sorted [a]; [v] is known to be present. *)
-let find_exact (a : float array) v =
-  let lo = ref 0 and hi = ref (Array.length a - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if a.(mid) < v then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-let build_index t =
-  let ids = Array.of_list (live_ids t) in
-  (* Cell lower edges: every box's lo, plus every interior hi (each
-     interior face is some neighbour's lo for octree-built tables, but
-     including the his makes the index correct for any exact
-     partition). *)
-  let cuts =
-    Array.init Memory.dims (fun d ->
-        let edges =
-          Array.concat
-            [
-              Array.map (fun id -> t.rules.(id).lo.(d)) ids;
-              Array.map (fun id -> t.rules.(id).hi.(d)) ids;
-            ]
-        in
-        sorted_distinct
-          (Array.of_list
-             (List.filter (fun v -> v < Memory.max_value) (Array.to_list edges))))
-  in
-  let ncells = Array.map Array.length cuts in
-  let total =
-    Array.fold_left
-      (fun acc n -> if acc > max_index_cells then acc else acc * n)
-      1 ncells
-  in
-  if total > max_index_cells then t.index <- Too_large
-  else begin
-    let strides = Array.make Memory.dims 1 in
-    for d = Memory.dims - 2 downto 0 do
-      strides.(d) <- strides.(d + 1) * ncells.(d + 1)
-    done;
-    let grid = Array.make total (-1) in
-    let lo_cell = Array.make Memory.dims 0 in
-    let hi_cell = Array.make Memory.dims 0 in
-    Array.iter
-      (fun id ->
-        let r = t.rules.(id) in
-        for d = 0 to Memory.dims - 1 do
-          lo_cell.(d) <- find_exact cuts.(d) r.lo.(d);
-          hi_cell.(d) <-
-            (if r.hi.(d) >= Memory.max_value then ncells.(d) - 1
-             else find_exact cuts.(d) r.hi.(d) - 1)
-        done;
-        for x = lo_cell.(0) to hi_cell.(0) do
-          for y = lo_cell.(1) to hi_cell.(1) do
-            for z = lo_cell.(2) to hi_cell.(2) do
-              grid.((x * strides.(0)) + (y * strides.(1)) + z) <- id
-            done
-          done
-        done)
-      ids;
-    (* A cell no rule claimed means the table is not an exact partition
-       (impossible via the public API); keep tree descent so compiled
-       and uncompiled lookups can never disagree. *)
-    let complete = ref true in
-    Array.iter (fun id -> if id < 0 then complete := false) grid;
-    if !complete then begin
-      Remy_obs.Counters.incr Remy_obs.Counters.index_builds;
-      t.index <- Built { cuts; strides; grid }
-    end
-    else t.index <- Too_large
-  end
-
-(* Called after every structural change, always on the domain that owns
-   the tree (the optimizer mutates structure only between evaluation
-   rounds), so worker domains never observe a half-built index. *)
-let refresh_index t = if Atomic.get compiled then build_index t else t.index <- Unbuilt
-
 let create ?(initial_action = Action.default) () =
   let lo, hi = whole_box () in
-  let t =
-    {
-      root = Leaf 0;
-      rules = [| { lo; hi; act = initial_action; epoch = 0; leaf = true } |];
-      live = 1;
-      index = Unbuilt;
-    }
-  in
-  refresh_index t;
-  t
-
-(* Largest [i] with [cuts.(i) <= v], or 0 when [v] precedes every cut —
-   matching tree descent, which also lands in the lowest child for
-   points left of (or incomparable to, i.e. NaN) every split point. *)
-let cell_of (cuts : float array) v =
-  let lo = ref 0 and hi = ref (Array.length cuts - 1) in
-  while !lo < !hi do
-    let mid = (!lo + !hi + 1) lsr 1 in
-    if cuts.(mid) <= v then lo := mid else hi := mid - 1
-  done;
-  !lo
-
-let lookup t m =
-  match t.index with
-  | Built { cuts; strides; grid } when Atomic.get compiled ->
-    let pos = ref 0 in
-    for d = 0 to Memory.dims - 1 do
-      pos := !pos + (cell_of cuts.(d) (Memory.get m d) * strides.(d))
-    done;
-    grid.(!pos)
-  | Unbuilt when Atomic.get compiled ->
-    build_index t;
-    lookup_uncompiled t m
-  | _ -> lookup_uncompiled t m
-
-(* Allocation-free variant for per-ack hot paths: same result as
-   [lookup] on [Memory.make ~ack_ewma ~send_ewma ~rtt_ratio], without
-   materializing the record when the compiled grid is available. *)
-(* remy-lint: hot *)
-let lookup3 t ~ack_ewma ~send_ewma ~rtt_ratio =
-  match t.index with
-  | Built { cuts; strides; grid } when Atomic.get compiled ->
-    (* Same saturation [Memory.make] would apply to each coordinate. *)
-    grid.((cell_of cuts.(0) (Memory.clamp ack_ewma) * strides.(0))
-          + (cell_of cuts.(1) (Memory.clamp send_ewma) * strides.(1))
-          + (cell_of cuts.(2) (Memory.clamp rtt_ratio) * strides.(2)))
-  | _ -> lookup t (Memory.make ~ack_ewma ~send_ewma ~rtt_ratio)
-
-let index_state t =
-  match t.index with
-  | Unbuilt -> `Unbuilt
-  | Too_large -> `Too_large
-  | Built { grid; _ } -> `Built (Array.length grid)
+  {
+    root = Leaf 0;
+    rules = [| { lo; hi; act = initial_action; epoch = 0; leaf = true } |];
+    live = 1;
+  }
 
 let check_id t id =
   if id < 0 || id >= Array.length t.rules then
     invalid_arg (Printf.sprintf "Rule_tree: bad rule id %d" id)
-
-(* [set_action] stays O(1) and does NOT touch the index: the grid maps
-   cells to rule ids, not to actions, so changing a rule's action is
-   invisible to the compiled lookup. *)
 
 let action ?override t id =
   check_id t id;
@@ -288,7 +134,6 @@ let subdivide t id ~at =
       Split { point = p; children = Array.map replace cs }
   in
   t.root <- replace t.root;
-  refresh_index t;
   List.init 8 (fun i -> base + i)
 
 let collapse_agreeing t =
@@ -350,8 +195,7 @@ let collapse_agreeing t =
       Array.init (Hashtbl.length fresh) (fun i -> Hashtbl.find fresh (n_fixed + i))
     in
     t.rules <- Array.append t.rules extra;
-    t.root <- root';
-    refresh_index t
+    t.root <- root'
   end;
   !collapsed
 
@@ -431,16 +275,7 @@ let of_sexp s =
   | Sexp.List [ Sexp.Atom "remycc-rules"; Sexp.Atom "v1"; root ] ->
     let lo, hi = whole_box () in
     let* root, rules = node_of lo hi root [] in
-    let t =
-      {
-        root;
-        rules = Array.of_list rules;
-        live = List.length rules;
-        index = Unbuilt;
-      }
-    in
-    refresh_index t;
-    Ok t
+    Ok { root; rules = Array.of_list rules; live = List.length rules }
   | _ -> Error "expected (remycc-rules v1 <tree>)"
 
 (* Full-fidelity serialization for checkpoints: unlike [to_sexp], which
@@ -604,10 +439,7 @@ let of_sexp_full s =
     (match !orphan with
     | Some id ->
       Error (Printf.sprintf "rule %d is flagged live but unreachable from the tree" id)
-    | None ->
-      let t = { root; rules; live = !live; index = Unbuilt } in
-      refresh_index t;
-      Ok t)
+    | None -> Ok { root; rules; live = !live })
   | _ -> Error "expected (remycc-state v1 (rules ...) (tree ...))"
 
 (* Whole-table geometry: the live rules' boxes must tile the memory

@@ -20,34 +20,16 @@ val create : ?initial_action:Action.t -> unit -> t
     {!Action.default} (m = 1, b = 1, r = 0.01). *)
 
 val lookup : t -> Memory.t -> int
-(** Id of the rule whose region contains the memory point.  When the
-    compiled index is enabled (the default) this is one binary search
-    per dimension over the table's distinct box edges plus a single
-    dense-grid read; otherwise (or for tables whose grid would exceed
-    the size cap) it is a tree descent.  Both paths return identical
-    ids for every input. *)
+(** Id of the rule whose region contains the memory point: a descent
+    from the root, taking at each split the child whose half-open box
+    holds the point (a NaN coordinate goes to the lower half). *)
 
 val lookup3 : t -> ack_ewma:float -> send_ewma:float -> rtt_ratio:float -> int
 (** [lookup] on [Memory.make ~ack_ewma ~send_ewma ~rtt_ratio] without
     allocating the record — for per-ack hot paths. *)
 
 val lookup_uncompiled : t -> Memory.t -> int
-(** The tree-descent lookup, always, regardless of the toggle — the
-    reference implementation the compiled index is tested against. *)
-
-val use_compiled_lookup : bool -> unit
-(** Globally enable/disable the compiled index (default: enabled).
-    Disabling makes {!lookup} fall back to tree descent; determinism
-    tests flip this to prove whole design runs are bit-identical either
-    way. *)
-
-val compiled_lookup_enabled : unit -> bool
-
-val index_state : t -> [ `Built of int | `Too_large | `Unbuilt ]
-(** Compiled-index status: [`Built cells] (grid size), [`Too_large]
-    (grid would exceed the internal cap; lookups use tree descent), or
-    [`Unbuilt] (not yet constructed, e.g. the toggle was off during the
-    last structural change). *)
+(** Alias of {!lookup}, kept for callers written against the old name. *)
 
 val action : ?override:int * Action.t -> t -> int -> Action.t
 (** Action of rule [id]; when [override] names this id its action is

@@ -9,8 +9,7 @@
     Determinism: the injector owns a PRNG stream derived from [seed]
     alone — nothing is split from the flow RNG chain — so installing a
     schedule leaves every other stochastic component untouched, and two
-    runs of the same spec and seed produce bit-identical traces on
-    either agenda backend. *)
+    runs of the same spec and seed produce bit-identical traces. *)
 
 type stats = {
   mutable ge_drops : int;

@@ -6,7 +6,6 @@
 let events_run = Atomic.make 0
 let acks_processed = Atomic.make 0
 let lookups = Atomic.make 0
-let index_builds = Atomic.make 0
 let pool_hits = Atomic.make 0
 let pool_misses = Atomic.make 0
 
@@ -17,7 +16,6 @@ type snapshot = {
   events_run : int;
   acks_processed : int;
   lookups : int;
-  index_builds : int;
   pool_hits : int;
   pool_misses : int;
 }
@@ -27,7 +25,6 @@ let snapshot () =
     events_run = Atomic.get events_run;
     acks_processed = Atomic.get acks_processed;
     lookups = Atomic.get lookups;
-    index_builds = Atomic.get index_builds;
     pool_hits = Atomic.get pool_hits;
     pool_misses = Atomic.get pool_misses;
   }
@@ -36,7 +33,6 @@ let reset () =
   Atomic.set events_run 0;
   Atomic.set acks_processed 0;
   Atomic.set lookups 0;
-  Atomic.set index_builds 0;
   Atomic.set pool_hits 0;
   Atomic.set pool_misses 0
 
@@ -48,7 +44,6 @@ let diff (a : snapshot) (b : snapshot) =
     events_run = a.events_run - b.events_run;
     acks_processed = a.acks_processed - b.acks_processed;
     lookups = a.lookups - b.lookups;
-    index_builds = a.index_builds - b.index_builds;
     pool_hits = a.pool_hits - b.pool_hits;
     pool_misses = a.pool_misses - b.pool_misses;
   }
@@ -58,7 +53,6 @@ let to_record ?(prefix = "c_") (s : snapshot) : Record.t =
     (prefix ^ "events_run", Record.Int s.events_run);
     (prefix ^ "acks_processed", Record.Int s.acks_processed);
     (prefix ^ "lookups", Record.Int s.lookups);
-    (prefix ^ "index_builds", Record.Int s.index_builds);
     (prefix ^ "pool_hits", Record.Int s.pool_hits);
     (prefix ^ "pool_misses", Record.Int s.pool_misses);
   ]
@@ -66,10 +60,10 @@ let to_record ?(prefix = "c_") (s : snapshot) : Record.t =
 let of_record ?(prefix = "c_") (r : Record.t) =
   let int k = Option.bind (Record.find (prefix ^ k) r) Record.to_int in
   match
-    ( int "events_run", int "acks_processed", int "lookups", int "index_builds",
-      int "pool_hits", int "pool_misses" )
+    ( int "events_run", int "acks_processed", int "lookups", int "pool_hits",
+      int "pool_misses" )
   with
-  | Some events_run, Some acks_processed, Some lookups, Some index_builds,
-    Some pool_hits, Some pool_misses ->
-    Some { events_run; acks_processed; lookups; index_builds; pool_hits; pool_misses }
+  | Some events_run, Some acks_processed, Some lookups, Some pool_hits,
+    Some pool_misses ->
+    Some { events_run; acks_processed; lookups; pool_hits; pool_misses }
   | _ -> None

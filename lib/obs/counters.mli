@@ -2,14 +2,13 @@
 
     Cheap visibility into the simulator inner loop: how many agenda
     events fired, acks crossed the congestion-control boundary, rule
-    lookups ran, compiled indexes were built, and how the packet pools
-    behaved.  Counters are atomics so worker domains may bump them
-    concurrently; hot loops accumulate locally and {!add} once per run. *)
+    lookups ran, and how the packet pools behaved.  Counters are atomics
+    so worker domains may bump them concurrently; hot loops accumulate
+    locally and {!add} once per run. *)
 
 val events_run : int Atomic.t
 val acks_processed : int Atomic.t
 val lookups : int Atomic.t
-val index_builds : int Atomic.t
 val pool_hits : int Atomic.t
 val pool_misses : int Atomic.t
 
@@ -22,7 +21,6 @@ type snapshot = {
   events_run : int;
   acks_processed : int;
   lookups : int;
-  index_builds : int;
   pool_hits : int;
   pool_misses : int;
 }

@@ -4,7 +4,7 @@
     preserving order.  Equivalent to scheduling one fresh closure per
     value, but the values wait in a ring buffer and every agenda entry is
     the same preallocated callback — so the steady-state cost per value
-    is an array write and a heap push, with no allocation.  Used for the
+    is an array write and an agenda push, with no allocation.  Used for the
     dumbbell topology's fixed propagation delays (sender → queue and
     receiver → sender half-RTTs). *)
 

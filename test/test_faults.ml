@@ -1,7 +1,6 @@
 (* Fault-injection layer: spec parsing, Gilbert–Elliott statistics,
-   injector determinism (including across agenda backends), graceful
-   sender degradation under outages, zero-cost-when-off, and the chaos
-   harness's directive machinery. *)
+   injector determinism, graceful sender degradation under outages,
+   zero-cost-when-off, and the chaos harness's directive machinery. *)
 
 open Remy_sim
 open Remy_cc
@@ -239,17 +238,6 @@ let test_faulted_run_deterministic () =
   Alcotest.(check bool) "identical runs identical summaries" true
     (summaries a = summaries b)
 
-let test_faulted_run_agenda_equivalence () =
-  let faults = parse_ok "outage:1+0.5+5;ge:0.02,0.2,0.4;reorder:0.05,0.005" in
-  let was = Engine.wheel_enabled () in
-  Engine.use_wheel false;
-  let heap = Dumbbell.run ~faults (dumbbell_config ()) in
-  Engine.use_wheel true;
-  let wheel = Dumbbell.run ~faults (dumbbell_config ()) in
-  Engine.use_wheel was;
-  Alcotest.(check bool) "heap and wheel agendas agree under faults" true
-    (summaries heap = summaries wheel)
-
 let test_ge_drops_affect_throughput () =
   let clean = Dumbbell.run (dumbbell_config ~duration:10. ()) in
   let lossy = Dumbbell.run ~faults:(parse_ok "ge:0.05,0.1,0.8") (dumbbell_config ~duration:10. ()) in
@@ -475,8 +463,6 @@ let tests =
     Alcotest.test_case "outage drop recovers" `Slow test_outage_drop_recovers;
     Alcotest.test_case "faulted run deterministic" `Slow
       test_faulted_run_deterministic;
-    Alcotest.test_case "heap/wheel agenda equivalence" `Slow
-      test_faulted_run_agenda_equivalence;
     Alcotest.test_case "GE loss hurts throughput" `Slow
       test_ge_drops_affect_throughput;
     Alcotest.test_case "idle restart off = identity" `Slow

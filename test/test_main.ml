@@ -48,7 +48,7 @@ let () =
       ("memory", Test_memory.tests);
       ("action", Test_action.tests);
       ("rule-tree", Test_rule_tree.tests);
-      ("compiled-index", Test_compiled_index.tests);
+      ("rule-lookup", Test_rule_lookup.tests);
       ("tally", Test_tally.tests);
       ("table-diff", Test_table_diff.tests);
       ("objective", Test_objective.tests);

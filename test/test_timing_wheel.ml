@@ -1,10 +1,8 @@
 (* The timing-wheel acceptance tests: the wheel honours the Heap
    contract exactly (QCheck drives identical op sequences through both
    and demands identical outputs, including overflow-horizon and
-   below-cursor pushes), the engine fires the same closures in the same
-   order on either backend, and a full optimizer design run is
-   bit-identical with the wheel on and off — the PR's headline
-   invariance property, same shape as test_compiled_index's. *)
+   below-cursor pushes), and the wheel-backed Engine fires the same
+   closures in the same order as a reference scheduler on the heap. *)
 
 open Remy_util
 open Remy_sim
@@ -188,64 +186,70 @@ let prop_wheel_preserves_all =
 
 (* --- engine-level equivalence --------------------------------------- *)
 
+(* A minimal scheduler on the binary heap with Engine's contract
+   (clamp-to-now, FIFO ties, [run ~until]), independent of the wheel. *)
+module Heap_engine = struct
+  type t = { mutable clock : float; agenda : (unit -> unit) Heap.t }
+
+  let create () = { clock = 0.; agenda = Heap.create () }
+  let now t = t.clock
+  let schedule t at f = Heap.push t.agenda (Float.max at t.clock) f
+  let schedule_in t dt f = schedule t (t.clock +. dt) f
+
+  let rec run t ~until =
+    let at = Heap.min_prio t.agenda in
+    if (not (Heap.is_empty t.agenda)) && at <= until then begin
+      t.clock <- at;
+      Heap.pop_exn t.agenda ();
+      run t ~until
+    end
+    else t.clock <- Float.max t.clock until
+end
+
+module type AGENDA = sig
+  type t
+
+  val create : unit -> t
+  val now : t -> float
+  val schedule : t -> float -> (unit -> unit) -> unit
+  val schedule_in : t -> float -> (unit -> unit) -> unit
+  val run : t -> until:float -> unit
+end
+
 (* The same schedule — including closures that schedule further events,
    equal-time ties, and sub-microsecond offsets — must fire in the same
-   order under both agenda backends.  Firing order is observed as the
-   exact (now, id) stream. *)
-let run_schedule ~wheel delays =
-  let eng = Engine.create ~wheel () in
+   order under both schedulers.  Firing order is observed as the exact
+   (now, id) stream. *)
+let run_schedule (module E : AGENDA) delays =
+  let eng = E.create () in
   let log = ref [] in
-  let fire id () = log := (Engine.now eng, id) :: !log in
+  let fire id () = log := (E.now eng, id) :: !log in
   List.iteri
     (fun i d ->
-      Engine.schedule eng d (fun () ->
+      E.schedule eng d (fun () ->
           fire i ();
           (* A third of the events spawn children relative to now, one
              of them at zero delay (same-instant tie with siblings). *)
           if i mod 3 = 0 then begin
-            Engine.schedule_in eng 0. (fire (i + 10_000));
-            Engine.schedule_in eng ((d /. 7.) +. 3.5e-7) (fire (i + 20_000))
+            E.schedule_in eng 0. (fire (i + 10_000));
+            E.schedule_in eng ((d /. 7.) +. 3.5e-7) (fire (i + 20_000))
           end))
     delays;
-  Engine.run eng ~until:1e9;
+  E.run eng ~until:1e9;
   List.rev !log
+
+module Wheel_engine = struct
+  include Engine
+
+  let create () = Engine.create ()
+end
 
 let prop_engine_backend_invariant =
   QCheck.Test.make ~name:"engine fires identically on wheel and heap" ~count:60
     QCheck.(list_of_size Gen.(int_range 0 120) (float_range 0. 1200.))
-    (fun delays -> run_schedule ~wheel:true delays = run_schedule ~wheel:false delays)
-
-(* --- full-design invariance (the PR's acceptance property) ----------- *)
-
-open Remy
-
-let tiny_model =
-  { (Net_model.onex ~sim_duration:2.0 ()) with Net_model.max_senders = 1 }
-
-let design_config () =
-  Optimizer.default_config ~specimens_per_step:3 ~domains:2
-    ~candidate_multipliers:[ 1. ] ~rounds_per_rule:2 ~k_subdivide:1
-    ~max_epochs:2 ~wall_budget_s:300. ~seed:5 ~model:tiny_model
-    ~objective:(Objective.proportional ~delta:1.0) ()
-
-let test_design_invariant_to_wheel () =
-  let design_with on =
-    Engine.use_wheel on;
-    Fun.protect
-      ~finally:(fun () -> Engine.use_wheel true)
-      (fun () -> Optimizer.design (design_config ()))
-  in
-  let r_wheel = design_with true in
-  let r_heap = design_with false in
-  Alcotest.(check string) "identical rule table"
-    (Sexp.to_string (Rule_tree.to_sexp r_wheel.Optimizer.tree))
-    (Sexp.to_string (Rule_tree.to_sexp r_heap.Optimizer.tree));
-  Alcotest.(check (float 0.)) "identical final score (bit-exact)"
-    r_wheel.Optimizer.final_score r_heap.Optimizer.final_score;
-  Alcotest.(check int) "identical evaluations" r_wheel.Optimizer.evaluations
-    r_heap.Optimizer.evaluations;
-  Alcotest.(check int) "identical improvements" r_wheel.Optimizer.improvements
-    r_heap.Optimizer.improvements
+    (fun delays ->
+      run_schedule (module Wheel_engine) delays
+      = run_schedule (module Heap_engine) delays)
 
 let tests =
   [
@@ -260,6 +264,4 @@ let tests =
     QCheck_alcotest.to_alcotest prop_wheel_matches_heap;
     QCheck_alcotest.to_alcotest prop_wheel_preserves_all;
     QCheck_alcotest.to_alcotest prop_engine_backend_invariant;
-    Alcotest.test_case "design invariant to agenda backend" `Slow
-      test_design_invariant_to_wheel;
   ]
