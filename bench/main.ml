@@ -458,7 +458,8 @@ type scale_row = {
 (* Keep the best-wall rep: a single-vCPU CI box loses tens of percent
    to host-side contention that drifts on a seconds scale, and the
    minimum converges on the code's real speed. *)
-let measure_cell ~reps ~scenario ~n tree (config : unit -> Remy_cc.Topology.config) =
+let measure_cell ~reps ~scenario ~n tree
+    (config : unit -> Remy_cc.Topology.config) =
   let best = ref infinity and best_snap = ref None in
   for _ = 1 to reps do
     let c0 = Remy_obs.Counters.snapshot () in
@@ -468,7 +469,8 @@ let measure_cell ~reps ~scenario ~n tree (config : unit -> Remy_cc.Topology.conf
     let wall = Unix.gettimeofday () -. t0 in
     if wall < !best then begin
       best := wall;
-      best_snap := Some (Remy_obs.Counters.diff (Remy_obs.Counters.snapshot ()) c0)
+      best_snap :=
+        Some (Remy_obs.Counters.diff (Remy_obs.Counters.snapshot ()) c0)
     end
   done;
   let snap = Option.get !best_snap and wall = !best in
