@@ -56,7 +56,7 @@ let agrees t (a, s, r) =
 let all_agree t rng = List.for_all (agrees t) (probes t rng)
 
 let prop_lookup3_matches_lookup =
-  QCheck.Test.make ~name:"lookup3 = lookup on random tables" ~count:50
+  QCheck.Test.make ~name:"raw-float lookup = record lookup" ~count:50
     QCheck.(pair (int_range 0 5) (int_range 0 10_000))
     (fun (depth, seed) ->
       let t = Test_rule_tree.random_tree (Prng.create (seed + 1)) depth in
