@@ -6,7 +6,12 @@
    - a tiny optimizer design (rule table, final score, counters);
    - a faulted dumbbell (outages, Gilbert–Elliott loss, reordering);
    - a 256-flow incast on the SoA fleet with the datacenter table, which
-     drives the allocation-free [Rule_tree.lookup3] on every ack.
+     drives the allocation-free [Rule_tree.lookup3] on every ack;
+   - the Fig. 10 heterogeneous-RTT dumbbell (per-flow propagation);
+   - a verizon-lte trace-driven dumbbell running the delta1 table;
+   - an XCP dumbbell (router capacity sized from the link rate);
+   - a probed, traced dumbbell: every JSONL trace row plus the
+     delivery-hook sequence.
 
    Floats enter the digests as their IEEE bit patterns, so a one-ulp
    drift is a failure.  A deliberate behaviour change must update the
@@ -101,6 +106,81 @@ let incast_repr () =
     r.Topology.delivered r.Topology.received
     (bits r.Topology.bottleneck_utilization)
 
+(* --- dumbbells: per-flow delay, trace service, XCP, probes ------------ *)
+
+let table name =
+  match Remy_scenarios.Tables.load name with
+  | Ok t -> t
+  | Error e -> Alcotest.fail e
+
+let dumbbell ~service ~qdisc ~ccs ~rtts ~workload ~start ~duration ~seed =
+  {
+    Dumbbell.service;
+    qdisc;
+    flows =
+      Array.mapi
+        (fun i cc -> { Dumbbell.cc; rtt = rtts.(i); workload; start })
+        ccs;
+    duration;
+    seed;
+    min_rto = Dumbbell.default_min_rto;
+  }
+
+let run_repr ?tracer ?probe_interval ?delivery_hook config =
+  let r = Dumbbell.run ?tracer ?probe_interval ?delivery_hook config in
+  Printf.sprintf "%s|%d|%d|%s" (flows_repr r.Dumbbell.flows) r.Dumbbell.drops
+    r.Dumbbell.delivered
+    (bits r.Dumbbell.mean_utilization)
+
+let hetero_rtt_repr () =
+  let tree = table "delta1" in
+  run_repr
+    (dumbbell ~service:(Dumbbell.Rate_mbps 10.) ~qdisc:(Dumbbell.Droptail 1000)
+       ~ccs:(Array.make 4 (Remycc.factory tree))
+       ~rtts:[| 0.050; 0.100; 0.150; 0.200 |]
+       ~workload:(Workload.icsi ~mean_off:0.2) ~start:`Off_draw ~duration:10.
+       ~seed:11)
+
+let trace_repr () =
+  let trace =
+    match
+      Cell_trace.load
+        (Filename.concat (Remy_scenarios.Tables.data_dir ()) "verizon-lte.trace")
+    with
+    | Ok t -> t
+    | Error e -> Alcotest.fail e
+  in
+  let tree = table "delta1" in
+  run_repr
+    (dumbbell ~service:(Dumbbell.Trace trace) ~qdisc:(Dumbbell.Droptail 1000)
+       ~ccs:(Array.make 4 (Remycc.factory tree))
+       ~rtts:(Array.make 4 0.050)
+       ~workload:(Workload.by_bytes ~mean_bytes:100e3 ~mean_off:0.5)
+       ~start:`Off_draw ~duration:10. ~seed:12)
+
+let xcp_repr () =
+  run_repr
+    (dumbbell ~service:(Dumbbell.Rate_mbps 15.) ~qdisc:(Dumbbell.Xcp 1000)
+       ~ccs:(Array.make 3 (Xcp.factory ()))
+       ~rtts:[| 0.1; 0.1; 0.1 |]
+       ~workload:(Workload.by_time ~mean_on:1.0 ~mean_off:0.5)
+       ~start:`Off_draw ~duration:10. ~seed:13)
+
+let probed_repr () =
+  let sink, read = Remy_obs.Sink.memory () in
+  let hook = Buffer.create 4096 in
+  let run =
+    run_repr ~tracer:(Remy_obs.Trace.make sink) ~probe_interval:0.25
+      ~delivery_hook:(fun ~flow ~now ~seq ->
+        Printf.bprintf hook "%d,%s,%d;" flow (bits now) seq)
+      (dumbbell ~service:(Dumbbell.Rate_mbps 10.) ~qdisc:(Dumbbell.Droptail 40)
+         ~ccs:[| Newreno.factory (); Cubic.factory () |]
+         ~rtts:[| 0.05; 0.12 |] ~workload:Workload.saturating
+         ~start:`Immediate ~duration:3. ~seed:14)
+  in
+  String.concat "\n" (List.map Remy_obs.Record.to_json (read ()))
+  ^ "|" ^ Buffer.contents hook ^ "|" ^ run
+
 let pinned name expected repr () =
   Alcotest.(check string) (name ^ " digest") expected (digest (repr ()))
 
@@ -113,4 +193,11 @@ let tests =
          faulted_dumbbell_repr);
     Alcotest.test_case "256-flow incast on the fleet" `Quick
       (pinned "incast" "f27684a1fd1bdd26c9d012666c6c4257" incast_repr);
+    Alcotest.test_case "heterogeneous-RTT dumbbell" `Quick
+      (pinned "heterogeneous RTT" "e3355517998e381281025b3659252f2e" hetero_rtt_repr);
+    Alcotest.test_case "verizon-lte trace dumbbell" `Quick
+      (pinned "trace" "4a233723df9e933b1483391f50b13cfb" trace_repr);
+    Alcotest.test_case "XCP dumbbell" `Quick (pinned "xcp" "7f5480c613a1a8eba24622634979711a" xcp_repr);
+    Alcotest.test_case "probed traced dumbbell" `Quick
+      (pinned "probed" "38acfb07586de2688cedc11b585debd7" probed_repr);
   ]
