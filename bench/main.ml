@@ -332,7 +332,7 @@ let run_sim_bench ~smoke =
   let mw0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   for r = 1 to reps do
-    ignore (Dumbbell.run (config (1000 + r)))
+    ignore (Topology.run (Topology.of_dumbbell (config (1000 + r))))
   done;
   let wall = Unix.gettimeofday () -. t0 in
   let minor_words = Gc.minor_words () -. mw0 in

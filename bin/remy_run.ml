@@ -144,48 +144,21 @@ let run link rtt_ms senders workload_kind mean_kb mean_on mean_off duration
       in
       let summary =
         if loss > 0. then begin
-          (* Scenario drives the plain pairing; loss needs direct runs. *)
-          let points = ref [] in
-          for rep = 0 to replications - 1 do
-            let flows =
-              Array.init senders (fun _ ->
+          (* The scheme's queue wrapped with a Bernoulli pre-drop. *)
+          let s =
+            Scenario.replicate ~tracer ?probe_interval ~faults
+              ~name:scheme.Schemes.name ~replications ~base_seed:seed
+              (fun ~seed ->
+                let c = Scenario.config scenario scheme ~seed in
+                Remy_cc.Topology.of_dumbbell
                   {
-                    Remy_cc.Dumbbell.cc = scheme.Schemes.factory;
-                    rtt = rtt_ms /. 1e3;
-                    workload;
-                    start;
+                    c with
+                    Remy_cc.Dumbbell.qdisc =
+                      Remy_cc.Dumbbell.With_loss (loss, c.Remy_cc.Dumbbell.qdisc);
                   })
-            in
-            let r =
-              Remy_cc.Dumbbell.run
-                ~tracer:(if rep = 0 then tracer else Remy_obs.Trace.off)
-                ?probe_interval
-                {
-                  Remy_cc.Dumbbell.service;
-                  qdisc =
-                    Remy_cc.Dumbbell.With_loss
-                      (loss, Schemes.qdisc_spec scheme ~capacity);
-                  flows;
-                  duration;
-                  seed = seed + rep;
-                  min_rto = Remy_cc.Dumbbell.default_min_rto;
-                }
-                ~faults
-            in
-            Array.iter
-              (fun (f : Metrics.flow_summary) ->
-                if f.Metrics.on_time > 0. && f.Metrics.packets > 0 then
-                  points :=
-                    (f.Metrics.throughput_mbps, f.Metrics.mean_queueing_delay_ms)
-                    :: !points)
-              r.Remy_cc.Dumbbell.flows
-          done;
-          let tputs = Array.of_list (List.map fst !points) in
-          let delays = Array.of_list (List.map snd !points) in
+          in
           Format.asprintf "%-16s %8.3f Mbps %10.2f ms   (with %.2f%% loss)"
-            scheme.Schemes.name
-            (if Array.length tputs > 0 then Remy_util.Stats.median tputs else 0.)
-            (if Array.length delays > 0 then Remy_util.Stats.median delays else 0.)
+            s.Scenario.scheme s.Scenario.median_tput s.Scenario.median_qdelay
             (loss *. 100.)
         end
         else

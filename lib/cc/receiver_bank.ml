@@ -4,31 +4,29 @@ open Remy_sim
    receivers ([expected], [conn]) lives in two flat int arrays instead
    of n heap records, and the reorder buffers — cold, touched only
    under loss — are small per-flow tables created lazily at fleet
-   construction.  Behaviour is exactly {!Receiver} without the
-   delayed-ACK option: same freshness/in-order logic, same metrics
-   calls, same ack construction, same pool ownership (the bank owns
-   every arriving packet and releases it on all paths), so a run
-   through the bank is bit-identical to one through per-flow
-   {!Receiver} records (test_fleet proves this). *)
+   construction.  The bank owns every arriving packet and releases it
+   on all paths. *)
 
 type t = {
   metrics : Metrics.t;
   pool : Packet.Pool.pool;
   ack_sink : int -> Packet.ack -> unit;
   fwd_delay : float array; (* forward propagation per flow, seconds *)
+  delivery_hook : (flow:int -> now:float -> seq:int -> unit) option;
   conn : int array;
   expected : int array;
   out_of_order : (int, unit) Hashtbl.t array;
   mutable delivered : int; (* fresh data packets accepted, all flows *)
 }
 
-let create ~metrics ~pool ~ack_sink ~fwd_delay =
+let create ~metrics ~pool ~ack_sink ~fwd_delay ?delivery_hook () =
   let n = Array.length fwd_delay in
   {
     metrics;
     pool;
     ack_sink;
     fwd_delay;
+    delivery_hook;
     conn = Array.make n (-1);
     expected = Array.make n 0;
     out_of_order = Array.init n (fun _ -> Hashtbl.create 4);
@@ -76,6 +74,9 @@ let receive t ~now flow (pkt : Packet.t) =
         ~queueing_delay:
           (Float.max 0. (now -. pkt.Packet.sent_at -. t.fwd_delay.(flow)));
       t.delivered <- t.delivered + 1;
+      (match t.delivery_hook with
+      | Some f -> f ~flow ~now ~seq:pkt.seq
+      | None -> ());
       if pkt.seq = t.expected.(flow) then begin
         t.expected.(flow) <- t.expected.(flow) + 1;
         (* Drain any buffered in-order continuation. *)

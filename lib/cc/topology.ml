@@ -1,18 +1,19 @@
 open Remy_sim
 open Remy_util
 
-(* Multi-bottleneck topology runner: a generalization of the dumbbell
-   to an arbitrary set of links and per-flow routes.  Each link is a
-   qdisc + transmission server + exit propagation delay; packets are
-   routed hop-by-hop via a per-link next-hop table and delivered to a
-   structure-of-arrays receiver bank; ACKs return over uncongested
-   per-flow reverse paths whose delay equals the flow's total forward
-   propagation (symmetric paths).  With one link and routes [|0|] this
-   reduces exactly to the dumbbell (test_topology proves runs are
-   bit-identical flow for flow). *)
+(* The network runner: an arbitrary set of links and per-flow routes.
+   Each link is a qdisc + transmission server (constant-rate or
+   trace-driven) + exit propagation delay; packets are routed
+   hop-by-hop via a per-link next-hop table, and a packet leaving its
+   last link travels a per-flow delivery line (that link's exit delay
+   plus the flow's access delay) to a structure-of-arrays receiver
+   bank.  ACKs return over uncongested per-flow reverse paths whose
+   delay equals the flow's total forward propagation (symmetric
+   paths).  The paper's dumbbell is the one-link case, built by
+   [of_dumbbell]. *)
 
 type link_spec = {
-  rate_mbps : float;
+  service : Dumbbell.service;
   delay_s : float; (* one-way propagation at link exit, seconds *)
   qdisc : Dumbbell.qdisc_spec;
 }
@@ -20,6 +21,7 @@ type link_spec = {
 type flow_spec = {
   cc : Cc.factory;
   route : int array; (* link indices, sender side first; non-empty *)
+  access_delay_s : float; (* one-way, last link to receiver *)
   workload : Workload.t;
   start : [ `Immediate | `Off_draw ];
 }
@@ -67,32 +69,61 @@ let validate (config : config) =
         f.route)
     config.flows
 
+(* Trace links are sized (XCP capacity, pool presize, utilization,
+   bottleneck choice) by their long-run mean rate (footnote 6). *)
+let rate_mbps (l : link_spec) =
+  match l.service with
+  | Dumbbell.Rate_mbps m -> m
+  | Dumbbell.Trace t -> Cell_trace.mean_rate_mbps t
+
 let bottleneck_index (config : config) =
   let best = ref 0 in
   Array.iteri
-    (fun i (l : link_spec) ->
-      if l.rate_mbps < config.links.(!best).rate_mbps then best := i)
+    (fun i l -> if rate_mbps l < rate_mbps config.links.(!best) then best := i)
     config.links;
   !best
 
-let run ?(tracer = Remy_obs.Trace.off) ?probe_interval ?sender_factory
-    ?(faults = Remy_faults.Spec.empty) (config : config) =
+let propagation_s (config : config) flow =
+  let f = config.flows.(flow) in
+  Array.fold_left (fun acc li -> acc +. config.links.(li).delay_s) 0. f.route
+  +. f.access_delay_s
+
+let of_dumbbell (d : Dumbbell.config) =
+  {
+    links = [| { service = d.service; delay_s = 0.; qdisc = d.qdisc } |];
+    flows =
+      Array.map
+        (fun (f : Dumbbell.flow_spec) ->
+          {
+            cc = f.cc;
+            route = [| 0 |];
+            access_delay_s = f.rtt /. 2.;
+            workload = f.workload;
+            start = f.start;
+          })
+        d.flows;
+    duration = d.duration;
+    seed = d.seed;
+    min_rto = d.min_rto;
+  }
+
+let run ?(tracer = Remy_obs.Trace.off) ?probe_interval ?delivery_hook
+    ?sender_factory ?(faults = Remy_faults.Spec.empty) (config : config) =
   validate config;
   let n = Array.length config.flows in
   let nl = Array.length config.links in
   let engine = Engine.create ~tracer () in
   let metrics = Metrics.create ~n_flows:n in
   let root_rng = Prng.create config.seed in
-  (* One qdisc per link; per-link seeds keep loss streams independent
-     (link 0 matches the dumbbell's derivation for the equivalence
-     oracle).  Fault injectors, where a link's spec is non-empty, wrap
-     the qdisc here and attach to the link once built below. *)
+  (* One qdisc per link; per-link seeds keep loss streams independent.
+     Fault injectors, where a link's spec is non-empty, wrap the qdisc
+     here and attach to the link once built below. *)
   let injectors : Remy_faults.Injector.t option array = Array.make nl None in
   let qdiscs =
     Array.mapi
       (fun li (l : link_spec) ->
         let inner =
-          Dumbbell.qdisc_of_spec engine ~tracer ~rate_mbps:l.rate_mbps
+          Dumbbell.qdisc_of_spec engine ~tracer ~rate_mbps:(rate_mbps l)
             ~seed:(config.seed + (li * 7919))
             l.qdisc
         in
@@ -106,15 +137,7 @@ let run ?(tracer = Remy_obs.Trace.off) ?probe_interval ?sender_factory
         gate)
       config.links
   in
-  (* Forward propagation and two-way RTT per flow. *)
-  let fwd_delay =
-    Array.map
-      (fun (f : flow_spec) ->
-        Array.fold_left
-          (fun acc li -> acc +. config.links.(li).delay_s)
-          0. f.route)
-      config.flows
-  in
+  let fwd_delay = Array.init n (propagation_s config) in
   (* Next hop per (link, flow): the link after [li] on the flow's
      route, or -1 to deliver to the flow's receiver. *)
   let next_of = Array.make_matrix nl n (-1) in
@@ -130,14 +153,13 @@ let run ?(tracer = Remy_obs.Trace.off) ?probe_interval ?sender_factory
     Array.fold_left (fun acc d -> Float.max acc (2. *. d)) 0. fwd_delay
   in
   let presize =
-    Dumbbell.pool_presize
-      ~rate_mbps:config.links.(bi).rate_mbps
-      ~max_rtt ~n_flows:n
+    Dumbbell.pool_presize ~rate_mbps:(rate_mbps config.links.(bi)) ~max_rtt
+      ~n_flows:n
   in
   let pool = Packet.Pool.create ~packets:presize ~acks:presize () in
   let acks_handled = ref 0 in
-  (* Wiring order mirrors the dumbbell; the knots (links referenced
-     from exit lines created before them, sender ops from ack lines)
+  (* The knots (links referenced from exit lines created before them,
+     the receiver bank from delivery lines, sender ops from ack lines)
      are tied through option arrays. *)
   let link_arr : Link.t option array = Array.make nl None in
   let bank_ref : Receiver_bank.t option ref = ref None in
@@ -145,25 +167,41 @@ let run ?(tracer = Remy_obs.Trace.off) ?probe_interval ?sender_factory
     Array.init nl (fun li ->
         Delay_line.create engine ~delay:config.links.(li).delay_s
           ~filler:Packet.dummy (fun pkt ->
-            let nxt = next_of.(li).(pkt.Packet.flow) in
-            if nxt >= 0 then
-              match link_arr.(nxt) with
-              | Some l -> Link.send l pkt
-              | None -> assert false
-            else
-              match !bank_ref with
-              | Some bank ->
-                Receiver_bank.receive bank ~now:(Engine.now engine)
-                  pkt.Packet.flow pkt
-              | None -> assert false))
+            match link_arr.(next_of.(li).(pkt.Packet.flow)) with
+            | Some l -> Link.send l pkt
+            | None -> assert false))
+  in
+  let delivery_lines =
+    Array.mapi
+      (fun i (f : flow_spec) ->
+        let last = f.route.(Array.length f.route - 1) in
+        Delay_line.create engine
+          ~delay:(config.links.(last).delay_s +. f.access_delay_s)
+          ~filler:Packet.dummy (fun pkt ->
+            match !bank_ref with
+            | Some bank ->
+              Receiver_bank.receive bank ~now:(Engine.now engine) i pkt
+            | None -> assert false))
+      config.flows
   in
   Array.iteri
     (fun li (l : link_spec) ->
+      let sink pkt =
+        let flow = pkt.Packet.flow in
+        if next_of.(li).(flow) >= 0 then Delay_line.push exit_lines.(li) pkt
+        else Delay_line.push delivery_lines.(flow) pkt
+      in
+      let qdisc = qdiscs.(li) in
       link_arr.(li) <-
         Some
-          (Link.create_constant engine ~qdisc:qdiscs.(li)
-             ~bytes_per_sec:(Link.bytes_per_sec_of_mbps l.rate_mbps)
-             ~sink:(fun pkt -> Delay_line.push exit_lines.(li) pkt)))
+          (match l.service with
+          | Dumbbell.Rate_mbps mbps ->
+            Link.create_constant engine ~qdisc
+              ~bytes_per_sec:(Link.bytes_per_sec_of_mbps mbps)
+              ~sink
+          | Dumbbell.Trace trace ->
+            Link.create_trace engine ~qdisc
+              ~next_gap:(Cell_trace.gap_fn trace) ~sink))
     config.links;
   Array.iteri
     (fun li inj ->
@@ -184,16 +222,17 @@ let run ?(tracer = Remy_obs.Trace.off) ?probe_interval ?sender_factory
               incr acks_handled;
               ops.Sender_backend.handle_ack ack
             | None -> assert false);
+            (* The sender copies what it needs into [Cc.ack_info];
+               nothing retains the ack past [handle_ack]. *)
             Packet.Pool.release_ack pool ack))
   in
   let bank =
     Receiver_bank.create ~metrics ~pool
       ~ack_sink:(fun flow ack -> Delay_line.push ack_lines.(flow) ack)
-      ~fwd_delay
+      ~fwd_delay ?delivery_hook ()
   in
   bank_ref := Some bank;
-  (* Flow order fixes the RNG split sequence, exactly as the dumbbell
-     does. *)
+  (* Flow order fixes the RNG split sequence. *)
   Array.iteri
     (fun i (f : flow_spec) ->
       let rng = Prng.split root_rng in
@@ -223,16 +262,20 @@ let run ?(tracer = Remy_obs.Trace.off) ?probe_interval ?sender_factory
   let ops_of i =
     match ops_arr.(i) with Some ops -> ops | None -> assert false
   in
+  (* Periodic probes: queue depth plus per-flow cwnd/pacing/srtt samples.
+     Scheduled before the senders start, so at any shared instant the
+     sample reflects state from before that instant's sender activity
+     (the agenda is FIFO within a timestamp).  Queue rows carry the
+     qdisc's own name, as its packet events do. *)
   (match probe_interval with
   | Some interval when Remy_obs.Trace.is_on tracer && interval > 0. ->
     List.iter
       (fun at ->
         Engine.schedule engine at (fun () ->
             let now = Engine.now engine in
-            Array.iteri
-              (fun li disc ->
-                Remy_obs.Trace.queue_sample tracer ~now
-                  ~queue:(Printf.sprintf "%s#%d" disc.Qdisc.name li)
+            Array.iter
+              (fun disc ->
+                Remy_obs.Trace.queue_sample tracer ~now ~queue:disc.Qdisc.name
                   ~qlen:(disc.Qdisc.length ())
                   ~qbytes:(disc.Qdisc.byte_length ()))
               qdiscs;
@@ -255,7 +298,7 @@ let run ?(tracer = Remy_obs.Trace.off) ?probe_interval ?sender_factory
   Metrics.finish metrics config.duration;
   let bneck = link_of bi in
   let capacity_bytes =
-    Link.bytes_per_sec_of_mbps config.links.(bi).rate_mbps *. config.duration
+    Link.bytes_per_sec_of_mbps (rate_mbps config.links.(bi)) *. config.duration
   in
   {
     flows = Metrics.summaries metrics;
@@ -284,7 +327,7 @@ let parking_lot ?(hops = 3) ?(link_mbps = 15.) ?(rtt_s = 0.15)
   let links =
     Array.init hops (fun _ ->
         {
-          rate_mbps = link_mbps;
+          service = Dumbbell.Rate_mbps link_mbps;
           delay_s = hop_delay;
           qdisc = Dumbbell.Droptail queue_capacity;
         })
@@ -295,7 +338,7 @@ let parking_lot ?(hops = 3) ?(link_mbps = 15.) ?(rtt_s = 0.15)
         let route =
           if i < long then all_hops else [| (i - long) mod hops |]
         in
-        { cc; route; workload; start })
+        { cc; route; access_delay_s = 0.; workload; start })
   in
   { links; flows; duration; seed; min_rto = Dumbbell.default_min_rto }
 
@@ -311,7 +354,11 @@ let fat_tree_pod ?(edges = 4) ?(edge_mbps = 100.) ?(oversub = 4.)
   let agg_mbps = edge_mbps *. float_of_int edges /. oversub in
   let hop_delay = rtt_s /. 2. /. 3. in
   let link rate =
-    { rate_mbps = rate; delay_s = hop_delay; qdisc = Dumbbell.Droptail queue_capacity }
+    {
+      service = Dumbbell.Rate_mbps rate;
+      delay_s = hop_delay;
+      qdisc = Dumbbell.Droptail queue_capacity;
+    }
   in
   let links =
     Array.init (edges + 2) (fun i ->
@@ -321,7 +368,13 @@ let fat_tree_pod ?(edges = 4) ?(edge_mbps = 100.) ?(oversub = 4.)
   in
   let flows =
     Array.init n (fun i ->
-        { cc; route = [| i mod edges; edges; edges + 1 |]; workload; start })
+        {
+          cc;
+          route = [| i mod edges; edges; edges + 1 |];
+          access_delay_s = 0.;
+          workload;
+          start;
+        })
   in
   { links; flows; duration; seed; min_rto = Dumbbell.default_min_rto }
 
@@ -343,13 +396,16 @@ let incast ?(bottleneck_mbps = 1000.) ?access_mbps ?(rtt_s = 4e-4)
     let links =
       [|
         {
-          rate_mbps = bottleneck_mbps;
+          service = Dumbbell.Rate_mbps bottleneck_mbps;
           delay_s = rtt_s /. 2.;
           qdisc = Dumbbell.Droptail queue_capacity;
         };
       |]
     in
-    let flows = Array.init n (fun _ -> { cc; route = [| 0 |]; workload; start }) in
+    let flows =
+      Array.init n (fun _ ->
+          { cc; route = [| 0 |]; access_delay_s = 0.; workload; start })
+    in
     { links; flows; duration; seed; min_rto = Dumbbell.default_min_rto }
   | Some access ->
     (* Link n is the shared bottleneck; links 0..n-1 are per-sender
@@ -358,19 +414,20 @@ let incast ?(bottleneck_mbps = 1000.) ?access_mbps ?(rtt_s = 4e-4)
       Array.init (n + 1) (fun i ->
           if i < n then
             {
-              rate_mbps = access;
+              service = Dumbbell.Rate_mbps access;
               delay_s = rtt_s /. 8.;
               qdisc = Dumbbell.Droptail queue_capacity;
             }
           else
             {
-              rate_mbps = bottleneck_mbps;
+              service = Dumbbell.Rate_mbps bottleneck_mbps;
               delay_s = rtt_s /. 4.;
               qdisc = Dumbbell.Droptail queue_capacity;
             })
     in
     let flows =
-      Array.init n (fun i -> { cc; route = [| i; n |]; workload; start })
+      Array.init n (fun i ->
+          { cc; route = [| i; n |]; access_delay_s = 0.; workload; start })
     in
     { links; flows; duration; seed; min_rto = Dumbbell.default_min_rto }
 

@@ -1,17 +1,17 @@
-(** Multi-bottleneck topology runner.
+(** The network runner.
 
-    Generalizes the dumbbell to an arbitrary set of links and per-flow
-    routes: each link is a queue discipline + constant-rate server +
+    An arbitrary set of links and per-flow routes: each link is a queue
+    discipline + server (constant-rate or a replayed cellular trace) +
     exit propagation delay, packets are routed hop-by-hop, data is
     delivered to a structure-of-arrays {!Receiver_bank}, and ACKs
     return over uncongested per-flow reverse paths whose delay equals
-    the flow's total forward propagation (symmetric paths).  With a
-    single link and routes [[|0|]] this reduces exactly to
-    {!Dumbbell.run} — test_topology proves such runs bit-identical —
-    which transitively validates the runner against the original. *)
+    the flow's total forward propagation (symmetric paths).  The
+    paper's dumbbell (Fig. 2) is the one-link case, {!of_dumbbell};
+    the same runner serves Remy's design-phase simulator and the
+    evaluation. *)
 
 type link_spec = {
-  rate_mbps : float;
+  service : Dumbbell.service;
   delay_s : float;  (** one-way propagation at link exit, seconds *)
   qdisc : Dumbbell.qdisc_spec;
 }
@@ -20,6 +20,9 @@ type flow_spec = {
   cc : Cc.factory;
   route : int array;
       (** link indices from the sender outward; non-empty, loop-free *)
+  access_delay_s : float;
+      (** one-way propagation from the flow's last link to its
+          receiver, seconds *)
   workload : Remy_sim.Workload.t;
   start : [ `Immediate | `Off_draw ];
 }
@@ -41,21 +44,40 @@ type result = {
 }
 
 val bottleneck_index : config -> int
-(** Index of the minimum-rate link (first on ties). *)
+(** Index of the minimum-rate link (first on ties; trace links count
+    at their long-run mean rate). *)
+
+val propagation_s : config -> int -> float
+(** One-way forward propagation of flow [i]: its route's link delays
+    plus its access delay.  Half the flow's two-way propagation RTT. *)
+
+val of_dumbbell : Dumbbell.config -> config
+(** The dumbbell as a one-link topology: the bottleneck has no exit
+    delay, every flow routes over it ([[|0|]]) and reaches its receiver
+    after [rtt /. 2.] of access delay. *)
 
 val run :
   ?tracer:Remy_obs.Trace.t ->
   ?probe_interval:float ->
+  ?delivery_hook:(flow:int -> now:float -> seq:int -> unit) ->
   ?sender_factory:Sender_backend.factory ->
   ?faults:Remy_faults.Spec.t ->
   config ->
   result
 (** Build the network, run for [duration] virtual seconds, return
-    per-flow summaries.  [probe_interval] emits periodic qsample rows
-    per link (queue names suffixed ["#<link>"]) and fsample rows per
-    flow.  [sender_factory] overrides the default per-record TCP
-    sender backend (e.g. with the SoA RemyCC fleet); results must be
-    bit-identical across conforming backends. *)
+    per-flow summaries.  [tracer] (default off) receives every
+    packet-level event from the queues, the links and the senders;
+    with [probe_interval] it additionally gets periodic [qsample] rows
+    per link (named like the queue's packet events) and [fsample] rows
+    per flow (cwnd, pacing gap, srtt) on the grid
+    {!Remy_obs.Probe.times}.  Tracing only observes: results are
+    bit-identical with the tracer on, off, or absent.  [delivery_hook]
+    observes every fresh data delivery (Fig. 6's sequence plot).
+    [sender_factory] overrides the default per-record TCP sender
+    backend (e.g. with the SoA RemyCC fleet); results must be
+    bit-identical across conforming backends.  [faults] (default
+    {!Remy_faults.Spec.empty}) installs a fault schedule per link; with
+    the empty spec the wiring is skipped entirely. *)
 
 (** {1 Canonical topologies} *)
 

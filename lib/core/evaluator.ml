@@ -40,31 +40,29 @@ let timed_sim run =
 
 let specimen_flow_summaries ?override ?tally ?topology ~queue_capacity ~duration
     tree s =
-  match topology with
-  | None ->
-    let cc_factory = Remycc.factory ?override ?tally tree in
-    let config = config_of_specimen ~queue_capacity ~duration ~cc_factory s in
-    let r = timed_sim (fun () -> Dumbbell.run config) in
-    r.Dumbbell.flows
-  | Some name ->
-    let builder =
-      match Topology.builder_of_name name with
-      | Some b -> b
-      | None -> invalid_arg (Printf.sprintf "Evaluator: unknown topology %S" name)
-    in
-    let config =
-      builder ~n:s.Net_model.n
-        ~cc:(Remycc.factory ?override ?tally tree)
-        ~workload:s.Net_model.workload
-        ~link_mbps:s.Net_model.spec_link_mbps ~rtt_s:s.Net_model.rtt_s
-        ~queue_capacity ~duration ~seed:s.Net_model.spec_seed ()
-    in
-    let config = { config with Topology.min_rto = 1.0 } in
-    (* The SoA fleet is bit-identical to the per-record backend and
-       scales to thousands of flows; a fresh factory per run. *)
-    let sender_factory = Fleet.factory ?override ?tally tree in
-    let r = timed_sim (fun () -> Topology.run ~sender_factory config) in
-    r.Topology.flows
+  let cc_factory = Remycc.factory ?override ?tally tree in
+  let config =
+    match topology with
+    | None ->
+      Topology.of_dumbbell
+        (config_of_specimen ~queue_capacity ~duration ~cc_factory s)
+    | Some name ->
+      let builder =
+        match Topology.builder_of_name name with
+        | Some b -> b
+        | None -> invalid_arg (Printf.sprintf "Evaluator: unknown topology %S" name)
+      in
+      let config =
+        builder ~n:s.Net_model.n ~cc:cc_factory ~workload:s.Net_model.workload
+          ~link_mbps:s.Net_model.spec_link_mbps ~rtt_s:s.Net_model.rtt_s
+          ~queue_capacity ~duration ~seed:s.Net_model.spec_seed ()
+      in
+      { config with Topology.min_rto = 1.0 }
+  in
+  (* The SoA fleet behaves exactly as [cc_factory] on per-record
+     senders and scales to thousands of flows; a fresh factory per run. *)
+  let sender_factory = Fleet.factory ?override ?tally tree in
+  (timed_sim (fun () -> Topology.run ~sender_factory config)).Topology.flows
 
 let specimen_scores ?override ?tally ?topology ~objective ~queue_capacity
     ~duration tree s =

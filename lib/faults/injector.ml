@@ -250,7 +250,7 @@ let attach t link =
             (Some d.Spec.extra_s)))
     t.spec.Spec.delay_shifts
 
-(* Convenience wrapper used by Dumbbell/Topology: no-op on an empty
+(* Convenience wrapper used by Topology.run: no-op on an empty
    link spec (zero-cost-when-off), else wrap + remember the injector so
    the link can be attached once built. *)
 let maybe engine ?tracer ~seed spec ~inner =

@@ -51,6 +51,33 @@ type summary = {
       (** [replications] rows of per-flow throughput (RTT-fairness plots) *)
 }
 
+val replicate :
+  ?tracer:Remy_obs.Trace.t ->
+  ?probe_interval:float ->
+  ?faults:Remy_faults.Spec.t ->
+  ?sender_factory:(unit -> Remy_cc.Sender_backend.factory) ->
+  name:string ->
+  replications:int ->
+  base_seed:int ->
+  (seed:int -> Remy_cc.Topology.config) ->
+  summary
+(** [replicate ~name ~replications ~base_seed config_of_seed] runs
+    {!Remy_cc.Topology.run} on [config_of_seed ~seed] for seeds
+    [base_seed .. base_seed + replications - 1] and pools the points
+    into a summary labelled [name].  Senders with zero on-time are
+    excluded, like the paper's "active during intervals" accounting.
+    [tracer]/[probe_interval] apply to the first replication only (one
+    representative trace per scheme); they never affect results.
+    [faults] installs the same fault schedule in every replication
+    (fault draws are seeded per replication from the run seed, so each
+    replication sees different drop/reorder realizations of the same
+    schedule).  [sender_factory], when given, makes a fresh sender
+    backend per replication in place of per-record senders. *)
+
+val config : t -> Schemes.t -> seed:int -> Remy_cc.Dumbbell.config
+(** The dumbbell of one replication: the scheme's factory and qdisc
+    pairing over [t]'s bottleneck and senders. *)
+
 val run_scheme :
   ?tracer:Remy_obs.Trace.t ->
   ?probe_interval:float ->
@@ -58,14 +85,8 @@ val run_scheme :
   t ->
   Schemes.t ->
   summary
-(** Replication [i] uses seed [base_seed + i]; senders with zero on-time
-    are excluded, like the paper's "active during intervals" accounting.
-    [tracer]/[probe_interval] apply to replication 0 only (one
-    representative trace per scheme); they never affect results.
-    [faults] installs the same fault schedule in every replication
-    (fault draws are seeded per replication from the run seed, so each
-    replication sees different drop/reorder realizations of the same
-    schedule). *)
+(** {!replicate} over {!config}, with seeds from [t.base_seed], on
+    per-record senders built from [scheme.factory]. *)
 
 val run_all : t -> Schemes.t list -> summary list
 

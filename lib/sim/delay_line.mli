@@ -4,9 +4,10 @@
     preserving order.  Equivalent to scheduling one fresh closure per
     value, but the values wait in a ring buffer and every agenda entry is
     the same preallocated callback — so the steady-state cost per value
-    is an array write and an agenda push, with no allocation.  Used for the
-    dumbbell topology's fixed propagation delays (sender → queue and
-    receiver → sender half-RTTs). *)
+    is an array write and an agenda push, with no allocation.  Used for
+    every fixed propagation delay of a topology run: per-link exit lines
+    between hops, per-flow delivery lines from a flow's last link to its
+    receiver, and per-flow ACK return paths. *)
 
 type 'a t
 

@@ -182,21 +182,22 @@ let fixed_transfer n =
   }
 
 let dumbbell_config ?(duration = 30.) ?(seed = 9) ?(n = 2) () =
-  {
-    Dumbbell.service = Dumbbell.Rate_mbps 10.;
-    qdisc = Dumbbell.Droptail 1000;
-    flows =
-      Array.init n (fun _ ->
-          {
-            Dumbbell.cc = Newreno.factory ();
-            rtt = 0.1;
-            workload = fixed_transfer 200;
-            start = `Immediate;
-          });
-    duration;
-    seed;
-    min_rto = Dumbbell.default_min_rto;
-  }
+  Topology.of_dumbbell
+    {
+      Dumbbell.service = Dumbbell.Rate_mbps 10.;
+      qdisc = Dumbbell.Droptail 1000;
+      flows =
+        Array.init n (fun _ ->
+            {
+              Dumbbell.cc = Newreno.factory ();
+              rtt = 0.1;
+              workload = fixed_transfer 200;
+              start = `Immediate;
+            });
+      duration;
+      seed;
+      min_rto = Dumbbell.default_min_rto;
+    }
 
 let summaries r =
   Array.to_list
@@ -204,73 +205,79 @@ let summaries r =
        (fun (f : Metrics.flow_summary) ->
          (f.Metrics.packets, f.Metrics.bytes, f.Metrics.throughput_mbps,
           f.Metrics.mean_queueing_delay_ms))
-       r.Dumbbell.flows)
+       r.Topology.flows)
 
 let test_no_fault_bit_identity () =
-  let a = Dumbbell.run (dumbbell_config ()) in
-  let b = Dumbbell.run ~faults:Spec.empty (dumbbell_config ()) in
+  let a = Topology.run (dumbbell_config ()) in
+  let b = Topology.run ~faults:Spec.empty (dumbbell_config ()) in
   Alcotest.(check bool) "empty spec is invisible" true (summaries a = summaries b)
 
 let test_outage_park_delivers_everything () =
   let faults = parse_ok "outage:1+2" in
-  let r = Dumbbell.run ~faults (dumbbell_config ()) in
+  let r = Topology.run ~faults (dumbbell_config ()) in
   Array.iter
     (fun (f : Metrics.flow_summary) ->
       Alcotest.(check int) "all segments delivered across the outage" 200
         f.Metrics.packets)
-    r.Dumbbell.flows
+    r.Topology.flows
 
 let test_outage_drop_recovers () =
   (* Arrivals during the blackout are discarded: the senders must take
      RTOs and still finish the transfer afterwards. *)
   let faults = parse_ok "outage:1+2,drop" in
-  let r = Dumbbell.run ~faults (dumbbell_config ()) in
+  let r = Topology.run ~faults (dumbbell_config ()) in
   Array.iter
     (fun (f : Metrics.flow_summary) ->
       Alcotest.(check int) "transfer completes after drop outage" 200
         f.Metrics.packets)
-    r.Dumbbell.flows
+    r.Topology.flows
 
 let test_faulted_run_deterministic () =
   let faults = parse_ok "outage:1+0.5+5;ge:0.02,0.2,0.4;reorder:0.05,0.005;dup:0.01;corrupt:0.005" in
-  let a = Dumbbell.run ~faults (dumbbell_config ()) in
-  let b = Dumbbell.run ~faults (dumbbell_config ()) in
+  let a = Topology.run ~faults (dumbbell_config ()) in
+  let b = Topology.run ~faults (dumbbell_config ()) in
   Alcotest.(check bool) "identical runs identical summaries" true
     (summaries a = summaries b)
 
 let test_ge_drops_affect_throughput () =
-  let clean = Dumbbell.run (dumbbell_config ~duration:10. ()) in
-  let lossy = Dumbbell.run ~faults:(parse_ok "ge:0.05,0.1,0.8") (dumbbell_config ~duration:10. ()) in
+  let clean = Topology.run (dumbbell_config ~duration:10. ()) in
+  let lossy =
+    Topology.run ~faults:(parse_ok "ge:0.05,0.1,0.8")
+      (dumbbell_config ~duration:10. ())
+  in
   let tput r =
     Array.fold_left (fun acc (f : Metrics.flow_summary) -> acc +. f.Metrics.throughput_mbps)
-      0. r.Dumbbell.flows
+      0. r.Topology.flows
   in
   Alcotest.(check bool) "bursty loss hurts throughput" true (tput lossy < tput clean)
 
 (* ---------- Graceful degradation: idle restart ---------- *)
 
 let remy_dumbbell_config ~factory ?(duration = 20.) ?(seed = 21) () =
-  {
-    Dumbbell.service = Dumbbell.Rate_mbps 10.;
-    qdisc = Dumbbell.Droptail 1000;
-    flows =
-      Array.init 2 (fun _ ->
-          {
-            Dumbbell.cc = factory;
-            rtt = 0.1;
-            workload = fixed_transfer 150;
-            start = `Immediate;
-          });
-    duration;
-    seed;
-    min_rto = Dumbbell.default_min_rto;
-  }
+  Topology.of_dumbbell
+    {
+      Dumbbell.service = Dumbbell.Rate_mbps 10.;
+      qdisc = Dumbbell.Droptail 1000;
+      flows =
+        Array.init 2 (fun _ ->
+            {
+              Dumbbell.cc = factory;
+              rtt = 0.1;
+              workload = fixed_transfer 150;
+              start = `Immediate;
+            });
+      duration;
+      seed;
+      min_rto = Dumbbell.default_min_rto;
+    }
 
 let test_idle_restart_off_is_identity () =
   let tree = Remy.Rule_tree.create () in
-  let a = Dumbbell.run (remy_dumbbell_config ~factory:(Remy.Remycc.factory tree) ()) in
+  let a =
+    Topology.run (remy_dumbbell_config ~factory:(Remy.Remycc.factory tree) ())
+  in
   let b =
-    Dumbbell.run
+    Topology.run
       (remy_dumbbell_config
          ~factory:(Remy.Remycc.factory ~idle_restart_s:infinity tree)
          ())
@@ -281,7 +288,7 @@ let test_idle_restart_off_is_identity () =
 let test_idle_restart_deterministic_under_outage () =
   let tree = Remy.Rule_tree.create () in
   let run () =
-    Dumbbell.run
+    Topology.run
       ~faults:(parse_ok "outage:1+2")
       (remy_dumbbell_config ~factory:(Remy.Remycc.factory ~idle_restart_s:0.5 tree) ())
   in
@@ -345,9 +352,9 @@ let test_rto_bounded_under_blackout () =
       min_rto = Dumbbell.default_min_rto;
     }
   in
-  let r = Dumbbell.run ~faults config in
+  let r = Topology.run ~faults (Topology.of_dumbbell config) in
   Alcotest.(check int) "transfer completes after a 60 s blackout" 100
-    r.Dumbbell.flows.(0).Metrics.packets
+    r.Topology.flows.(0).Metrics.packets
 
 (* ---------- Chaos harness ---------- *)
 

@@ -88,7 +88,7 @@ let faulted_dumbbell_repr () =
       min_rto = Dumbbell.default_min_rto;
     }
   in
-  flows_repr (Dumbbell.run ~faults config).Dumbbell.flows
+  flows_repr (Topology.run ~faults (Topology.of_dumbbell config)).Topology.flows
 
 (* --- 256-flow incast on the fleet -------------------------------------- *)
 
@@ -127,10 +127,13 @@ let dumbbell ~service ~qdisc ~ccs ~rtts ~workload ~start ~duration ~seed =
   }
 
 let run_repr ?tracer ?probe_interval ?delivery_hook config =
-  let r = Dumbbell.run ?tracer ?probe_interval ?delivery_hook config in
-  Printf.sprintf "%s|%d|%d|%s" (flows_repr r.Dumbbell.flows) r.Dumbbell.drops
-    r.Dumbbell.delivered
-    (bits r.Dumbbell.mean_utilization)
+  let r =
+    Topology.run ?tracer ?probe_interval ?delivery_hook
+      (Topology.of_dumbbell config)
+  in
+  Printf.sprintf "%s|%d|%d|%s" (flows_repr r.Topology.flows) r.Topology.drops
+    r.Topology.delivered
+    (bits r.Topology.bottleneck_utilization)
 
 let hetero_rtt_repr () =
   let tree = table "delta1" in

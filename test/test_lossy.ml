@@ -59,18 +59,19 @@ let test_transfer_completes_under_loss () =
     |]
   in
   let r =
-    Dumbbell.run
-      {
-        Dumbbell.service = Dumbbell.Rate_mbps 10.;
-        qdisc = Dumbbell.With_loss (0.05, Dumbbell.Droptail 1000);
-        flows;
-        duration = 60.;
-        seed = 3;
-        min_rto = 0.2;
-      }
+    Topology.run
+      (Topology.of_dumbbell
+         {
+           Dumbbell.service = Dumbbell.Rate_mbps 10.;
+           qdisc = Dumbbell.With_loss (0.05, Dumbbell.Droptail 1000);
+           flows;
+           duration = 60.;
+           seed = 3;
+           min_rto = 0.2;
+         })
   in
   Alcotest.(check int) "all 200 segments delivered" 200
-    r.Dumbbell.flows.(0).Remy_sim.Metrics.packets
+    r.Topology.flows.(0).Remy_sim.Metrics.packets
 
 let tests =
   [

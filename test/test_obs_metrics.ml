@@ -348,26 +348,27 @@ let test_dashboard_render () =
 (* --- observation changes nothing ----------------------------------- *)
 
 let obs_config () =
-  {
-    Dumbbell.service = Dumbbell.Rate_mbps 15.;
-    qdisc = Dumbbell.Sfq_codel 1000;
-    flows =
-      Array.init 2 (fun _ ->
-          {
-            Dumbbell.cc = Newreno.factory ();
-            rtt = 0.15;
-            workload = Workload.by_bytes ~mean_bytes:5e4 ~mean_off:0.3;
-            start = `Off_draw;
-          });
-    duration = 20.;
-    seed = 11;
-    min_rto = 0.2;
-  }
+  Topology.of_dumbbell
+    {
+      Dumbbell.service = Dumbbell.Rate_mbps 15.;
+      qdisc = Dumbbell.Sfq_codel 1000;
+      flows =
+        Array.init 2 (fun _ ->
+            {
+              Dumbbell.cc = Newreno.factory ();
+              rtt = 0.15;
+              workload = Workload.by_bytes ~mean_bytes:5e4 ~mean_off:0.3;
+              start = `Off_draw;
+            });
+      duration = 20.;
+      seed = 11;
+      min_rto = 0.2;
+    }
 
 let test_observation_invariance () =
   M.disable ();
   P.disable ();
-  let plain = Dumbbell.run (obs_config ()) in
+  let plain = Topology.run (obs_config ()) in
   M.enable ();
   M.reset ();
   P.enable ();
@@ -377,20 +378,20 @@ let test_observation_invariance () =
       ~finally:(fun () ->
         M.disable ();
         P.disable ())
-      (fun () -> P.span "obs" (fun () -> Dumbbell.run (obs_config ())))
+      (fun () -> P.span "obs" (fun () -> Topology.run (obs_config ())))
   in
   Array.iteri
     (fun i (f : Metrics.flow_summary) ->
-      let g = observed.Dumbbell.flows.(i) in
+      let g = observed.Topology.flows.(i) in
       Alcotest.(check (float 0.))
         (Printf.sprintf "flow %d throughput" i)
         f.Metrics.throughput_mbps g.Metrics.throughput_mbps;
       Alcotest.(check (float 0.))
         (Printf.sprintf "flow %d delay" i)
         f.Metrics.mean_queueing_delay_ms g.Metrics.mean_queueing_delay_ms)
-    plain.Dumbbell.flows;
-  Alcotest.(check int) "drops identical" plain.Dumbbell.drops
-    observed.Dumbbell.drops
+    plain.Topology.flows;
+  Alcotest.(check int) "drops identical" plain.Topology.drops
+    observed.Topology.drops
 
 (* --- trace summary delay percentiles ------------------------------- *)
 
@@ -404,7 +405,7 @@ let test_trace_summary_delay () =
         Remy_obs.Trace.make
           (Remy_obs.Sink.to_file ~columns:Remy_obs.Trace.columns path)
       in
-      ignore (Dumbbell.run ~tracer (obs_config ()));
+      ignore (Topology.run ~tracer (obs_config ()));
       Remy_obs.Trace.close tracer;
       match Remy_obs.Trace_summary.of_file path with
       | Error e -> Alcotest.failf "summary: %s" e

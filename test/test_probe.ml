@@ -40,23 +40,24 @@ let test_grid_rejects_bad_args () =
 let run_probed ~n ~duration ~probe_interval =
   let sink, read = Remy_obs.Sink.memory () in
   let cfg =
-    {
-      Dumbbell.service = Dumbbell.Rate_mbps 10.;
-      qdisc = Dumbbell.Droptail 100;
-      flows =
-        Array.init n (fun _ ->
-            {
-              Dumbbell.cc = Newreno.factory ();
-              rtt = 0.05;
-              workload = Workload.saturating;
-              start = `Immediate;
-            });
-      duration;
-      seed = 77;
-      min_rto = 0.2;
-    }
+    Topology.of_dumbbell
+      {
+        Dumbbell.service = Dumbbell.Rate_mbps 10.;
+        qdisc = Dumbbell.Droptail 100;
+        flows =
+          Array.init n (fun _ ->
+              {
+                Dumbbell.cc = Newreno.factory ();
+                rtt = 0.05;
+                workload = Workload.saturating;
+                start = `Immediate;
+              });
+        duration;
+        seed = 77;
+        min_rto = 0.2;
+      }
   in
-  ignore (Dumbbell.run ~tracer:(Remy_obs.Trace.make sink) ~probe_interval cfg);
+  ignore (Topology.run ~tracer:(Remy_obs.Trace.make sink) ~probe_interval cfg);
   read ()
 
 let filter_ev records kind =

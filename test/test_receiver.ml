@@ -1,70 +1,73 @@
+(* Receiver behaviour, on a one-flow receiver bank. *)
+
 open Remy_cc
 open Remy_sim
 
-let make ?(flow = 0) () =
+let make () =
   let metrics = Metrics.create ~n_flows:1 in
   let acks = ref [] in
   let r =
-    Receiver.create ~flow ~metrics
-      ~queueing_delay_of:(fun _ ~now:_ -> 0.001)
-      ~ack_sink:(fun a -> acks := a :: !acks)
-      ()
+    Receiver_bank.create ~metrics ~pool:(Packet.Pool.create ())
+      ~ack_sink:(fun _ a -> acks := a :: !acks)
+      ~fwd_delay:[| 0. |] ()
   in
   (r, metrics, acks)
+
+let receive r ~now pkt = Receiver_bank.receive r ~now 0 pkt
 
 let pkt ?(conn = 0) ?(retx = false) seq = Packet.make ~flow:0 ~seq ~conn ~now:0.5 ~retx ()
 
 let test_in_order () =
   let r, metrics, acks = make () in
   for s = 0 to 4 do
-    Receiver.receive r ~now:1. (pkt s)
+    receive r ~now:1. (pkt s)
   done;
-  Alcotest.(check int) "expected advances" 5 (Receiver.expected r);
-  Alcotest.(check int) "five acks" 5 (List.length !acks);
+  Alcotest.(check int) "expected advances" 5 (Receiver_bank.expected r 0);
+  Alcotest.(check int) "one ack per packet" 5 (List.length !acks);
   let cum = (List.hd !acks).Packet.cum_ack in
   Alcotest.(check int) "cumulative" 5 cum;
   Alcotest.(check int) "metrics counted" 5 (Metrics.summary metrics 0).Metrics.packets
 
 let test_gap_generates_dupacks () =
   let r, _, acks = make () in
-  Receiver.receive r ~now:1. (pkt 0);
+  receive r ~now:1. (pkt 0);
   (* Segment 1 lost; 2, 3, 4 arrive. *)
-  List.iter (fun s -> Receiver.receive r ~now:1. (pkt s)) [ 2; 3; 4 ];
+  List.iter (fun s -> receive r ~now:1. (pkt s)) [ 2; 3; 4 ];
   let cums = List.rev_map (fun a -> a.Packet.cum_ack) !acks in
   Alcotest.(check (list int)) "dup acks at the hole" [ 1; 1; 1; 1 ] cums;
   (* The hole fills: cumulative jumps over the buffered segments. *)
-  Receiver.receive r ~now:2. (pkt 1);
+  receive r ~now:2. (pkt 1);
   let cum = (List.hd !acks).Packet.cum_ack in
   Alcotest.(check int) "jump after fill" 5 cum
 
 let test_duplicate_data_not_recounted () =
   let r, metrics, acks = make () in
-  Receiver.receive r ~now:1. (pkt 0);
-  Receiver.receive r ~now:1.1 (pkt 0);
+  receive r ~now:1. (pkt 0);
+  receive r ~now:1.1 (pkt 0);
   Alcotest.(check int) "still acked" 2 (List.length !acks);
   Alcotest.(check int) "counted once" 1 (Metrics.summary metrics 0).Metrics.packets
 
 let test_new_connection_resets () =
   let r, _, acks = make () in
-  List.iter (fun s -> Receiver.receive r ~now:1. (pkt s)) [ 0; 1; 2 ];
-  Receiver.receive r ~now:2. (pkt ~conn:1 0);
-  Alcotest.(check int) "expected reset" 1 (Receiver.expected r);
+  List.iter (fun s -> receive r ~now:1. (pkt s)) [ 0; 1; 2 ];
+  receive r ~now:2. (pkt ~conn:1 0);
+  Alcotest.(check int) "expected reset" 1 (Receiver_bank.expected r 0);
   let a = List.hd !acks in
   Alcotest.(check int) "ack carries conn" 1 a.Packet.ack_conn;
   Alcotest.(check int) "fresh cumulative" 1 a.Packet.cum_ack
 
 let test_stale_connection_ignored () =
   let r, metrics, acks = make () in
-  Receiver.receive r ~now:1. (pkt ~conn:2 0);
+  receive r ~now:1. (pkt ~conn:2 0);
   let n_acks = List.length !acks in
   (* A leftover packet from connection 1 arrives late: no ack, no count. *)
-  Receiver.receive r ~now:1.5 (pkt ~conn:1 7);
+  receive r ~now:1.5 (pkt ~conn:1 7);
   Alcotest.(check int) "no ack for stale conn" n_acks (List.length !acks);
   Alcotest.(check int) "not counted" 1 (Metrics.summary metrics 0).Metrics.packets
 
 let test_echo_fields () =
   let r, _, acks = make () in
-  Receiver.receive r ~now:1.25 (pkt ~retx:true 0);
+  receive r ~now:1.25 (pkt ~retx:true 0);
   let a = List.hd !acks in
   Alcotest.(check int) "acked seq" 0 a.Packet.acked_seq;
   Alcotest.(check (float 0.)) "echoed send ts" 0.5 a.Packet.acked_sent_at;
@@ -75,7 +78,7 @@ let test_ecn_echo () =
   let r, _, acks = make () in
   let p = pkt 0 in
   p.Packet.ecn_marked <- true;
-  Receiver.receive r ~now:1. p;
+  receive r ~now:1. p;
   Alcotest.(check bool) "CE echoed" true (List.hd !acks).Packet.ecn_echo
 
 let tests =

@@ -70,6 +70,36 @@ let test_rtts_broadcast () =
   let s = Scenario.run_scheme sc Schemes.newreno in
   Alcotest.(check bool) "runs" true (Array.length s.Scenario.points > 0)
 
+let test_topology_remy_idle_restart () =
+  (* Topologies runs RemyCC schemes on the SoA fleet; the scheme's idle
+     restart must reach it, so the run equals the same network on
+     per-record senders, which [Remycc.factory ?idle_restart_s]
+     drives.  The outages make idle restart fire. *)
+  let tree =
+    match Tables.load "delta1" with Ok t -> t | Error e -> Alcotest.fail e
+  in
+  let scheme = Schemes.remy ~idle_restart_s:0.05 ~name:"Remy delta1" tree in
+  let faults =
+    match Remy_faults.Spec.parse "outage:2+1+4" with
+    | Ok f -> f
+    | Error e -> Alcotest.fail e
+  in
+  let t =
+    Topologies.make ~replications:1 ~base_seed:7000
+      ~workload:(Workload.by_time ~mean_on:1.0 ~mean_off:0.5)
+      ~topology:"parking-lot" ~n:4 ~duration:20. ()
+  in
+  let fleet = Topologies.run_scheme ~faults t scheme in
+  let records =
+    Remy_cc.Topology.run ~faults (Topologies.config t ~scheme ~seed:7000)
+  in
+  Alcotest.(check (array (float 0.)))
+    "fleet = records, flow for flow"
+    (Array.map
+       (fun (f : Metrics.flow_summary) -> f.Metrics.throughput_mbps)
+       records.Remy_cc.Topology.flows)
+    fleet.Scenario.per_flow_tput.(0)
+
 let tests =
   [
     Alcotest.test_case "registry names" `Quick test_registry_names;
@@ -79,4 +109,6 @@ let tests =
     Alcotest.test_case "remy scheme runs" `Slow test_remy_scheme_runs;
     Alcotest.test_case "tables path" `Quick test_tables_path_shape;
     Alcotest.test_case "per-flow rtts" `Slow test_rtts_broadcast;
+    Alcotest.test_case "topology RemyCC idle restart" `Quick
+      test_topology_remy_idle_restart;
   ]

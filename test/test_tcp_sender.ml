@@ -20,12 +20,11 @@ let make_harness ?(delay = 0.05) ?(min_rto = 0.2) ?(should_drop = fun _ _ -> fal
   let tx_counts : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
   let sender_cell = ref None in
   let receiver =
-    Receiver.create ~flow:0 ~metrics
-      ~queueing_delay_of:(fun pkt ~now -> now -. pkt.Packet.sent_at -. delay)
-      ~ack_sink:(fun ack ->
+    Receiver_bank.create ~metrics ~pool:(Packet.Pool.create ())
+      ~ack_sink:(fun _ ack ->
         Engine.schedule_in engine delay (fun () ->
             Tcp_sender.handle_ack (Option.get !sender_cell) ack))
-      ()
+      ~fwd_delay:[| delay |] ()
   in
   let h = ref None in
   let transmit pkt =
@@ -35,7 +34,7 @@ let make_harness ?(delay = 0.05) ?(min_rto = 0.2) ?(should_drop = fun _ _ -> fal
     Hashtbl.replace tx_counts key count;
     if not (should_drop pkt count) then
       Engine.schedule_in engine delay (fun () ->
-          Receiver.receive receiver ~now:(Engine.now engine) pkt)
+          Receiver_bank.receive receiver ~now:(Engine.now engine) 0 pkt)
   in
   let sender =
     Tcp_sender.create engine

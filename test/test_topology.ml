@@ -1,12 +1,9 @@
-(* The multi-bottleneck topology acceptance tests.  The load-bearing
-   one is the reduction property: a single-link topology with routes
-   [|0|] is the dumbbell, and the two runners must agree bit for bit —
-   flow summaries, drops, delivered, utilization — across qdiscs,
-   congestion controls, and on/off workloads.  That transitively
-   validates the hop-by-hop runner against everything test_dumbbell
-   already proves.  The rest: canonical builders produce sane traffic,
-   runs are deterministic (including 4096-flow incast with randomized
-   on/off arrivals), and malformed routes are rejected. *)
+(* The multi-bottleneck topology acceptance tests: canonical builders
+   produce sane traffic, runs are deterministic (including 4096-flow
+   incast with randomized on/off arrivals), probe rows name each queue
+   as its packet events do, and malformed routes are rejected.  The
+   one-link dumbbell case is pinned by test_golden's digests and
+   exercised by test_dumbbell. *)
 
 open Remy_cc
 open Remy_sim
@@ -21,68 +18,6 @@ let check_flow name i (a : Metrics.flow_summary) (b : Metrics.flow_summary) =
   Alcotest.(check int) (lbl "bytes") a.Metrics.bytes b.Metrics.bytes;
   Alcotest.(check int) (lbl "packets") a.Metrics.packets b.Metrics.packets;
   Alcotest.(check (float 0.)) (lbl "on_time") a.Metrics.on_time b.Metrics.on_time
-
-(* --- reduction to the dumbbell -------------------------------------- *)
-
-let check_dumbbell_equiv name ~qdisc ~cc_of ~n ~workload ~start ~duration ~seed =
-  let rtt = 0.1 and rate = 15. and min_rto = 0.2 in
-  let d_cfg =
-    {
-      Dumbbell.service = Dumbbell.Rate_mbps rate;
-      qdisc;
-      flows =
-        Array.init n (fun i -> { Dumbbell.cc = cc_of i; rtt; workload; start });
-      duration;
-      seed;
-      min_rto;
-    }
-  in
-  let t_cfg =
-    {
-      Topology.links = [| { Topology.rate_mbps = rate; delay_s = rtt /. 2.; qdisc } |];
-      flows =
-        Array.init n (fun i ->
-            { Topology.cc = cc_of i; route = [| 0 |]; workload; start });
-      duration;
-      seed;
-      min_rto;
-    }
-  in
-  let dr = Dumbbell.run d_cfg and tr = Topology.run t_cfg in
-  Array.iteri
-    (fun i f -> check_flow name i f tr.Topology.flows.(i))
-    dr.Dumbbell.flows;
-  Alcotest.(check int) (name ^ ": drops") dr.Dumbbell.drops tr.Topology.drops;
-  Alcotest.(check int) (name ^ ": delivered") dr.Dumbbell.delivered
-    tr.Topology.delivered;
-  Alcotest.(check (float 0.))
-    (name ^ ": utilization")
-    dr.Dumbbell.mean_utilization tr.Topology.bottleneck_utilization;
-  (* Sanity: the run did something. *)
-  Alcotest.(check bool) (name ^ ": traffic flowed") true (tr.Topology.received > 0)
-
-let test_reduces_to_dumbbell_newreno () =
-  check_dumbbell_equiv "newreno saturating" ~qdisc:(Dumbbell.Droptail 1000)
-    ~cc_of:(fun _ -> Newreno.factory ())
-    ~n:2 ~workload:Workload.saturating ~start:`Immediate ~duration:8. ~seed:9
-
-let test_reduces_to_dumbbell_onoff_lossy () =
-  (* Stochastic loss plus off-draw starts exercises timeouts, recovery,
-     and the workload RNG split order. *)
-  check_dumbbell_equiv "lossy on/off"
-    ~qdisc:(Dumbbell.With_loss (0.03, Dumbbell.Droptail 500))
-    ~cc_of:(fun _ -> Newreno.factory ())
-    ~n:3
-    ~workload:(Workload.by_bytes ~mean_bytes:5e4 ~mean_off:0.3)
-    ~start:`Off_draw ~duration:12. ~seed:4
-
-let test_reduces_to_dumbbell_remycc () =
-  let tree = Remy.Rule_tree.create () in
-  check_dumbbell_equiv "remycc" ~qdisc:(Dumbbell.Droptail 1000)
-    ~cc_of:(fun _ -> Remy.Remycc.factory tree)
-    ~n:2
-    ~workload:(Workload.by_bytes ~mean_bytes:1e5 ~mean_off:0.2)
-    ~start:`Off_draw ~duration:8. ~seed:7
 
 (* --- canonical builders --------------------------------------------- *)
 
@@ -173,6 +108,29 @@ let test_incast_4096_onoff_deterministic () =
   Alcotest.(check bool) "some arrivals happened" true (r1.Topology.received > 0);
   summaries_identical "incast-4096" r1 r2
 
+(* --- probes ------------------------------------------------------------ *)
+
+let test_parking_lot_probe_queue_names () =
+  (* The qsample rows of a probed multi-link run aggregate into the same
+     trace-summary rows as the queues' packet events: one row per qdisc
+     name, holding both enqueues and occupancy samples. *)
+  let sink, read = Remy_obs.Sink.memory () in
+  let cfg =
+    Topology.parking_lot ~hops:3 ~n:4 ~cc:(Newreno.factory ())
+      ~workload:Workload.saturating ~start:`Immediate ~duration:3. ~seed:3 ()
+  in
+  ignore
+    (Topology.run ~tracer:(Remy_obs.Trace.make sink) ~probe_interval:0.5 cfg);
+  let s = Remy_obs.Trace_summary.of_records (read ()) in
+  let queues =
+    Hashtbl.fold (fun name _ acc -> name :: acc) s.Remy_obs.Trace_summary.by_queue []
+  in
+  Alcotest.(check (list string)) "one row per qdisc name" [ "droptail" ] queues;
+  let q = Hashtbl.find s.Remy_obs.Trace_summary.by_queue "droptail" in
+  Alcotest.(check bool) "the row holds enqueues and qlen samples" true
+    (q.Remy_obs.Trace_summary.enqueues > 0
+    && q.Remy_obs.Trace_summary.qlen_samples > 0)
+
 (* --- registry and validation ----------------------------------------- *)
 
 let test_registry () =
@@ -202,11 +160,18 @@ let invalid cfg =
   | exception Invalid_argument _ -> true
 
 let test_validation () =
-  let link = { Topology.rate_mbps = 10.; delay_s = 0.01; qdisc = Dumbbell.Droptail 10 } in
+  let link =
+    {
+      Topology.service = Dumbbell.Rate_mbps 10.;
+      delay_s = 0.01;
+      qdisc = Dumbbell.Droptail 10;
+    }
+  in
   let flow route =
     {
-      Topology.cc = (Newreno.factory ());
+      Topology.cc = Newreno.factory ();
       route;
+      access_delay_s = 0.;
       workload = Workload.saturating;
       start = `Immediate;
     }
@@ -222,12 +187,6 @@ let test_validation () =
 
 let tests =
   [
-    Alcotest.test_case "single link reduces to dumbbell (newreno)" `Slow
-      test_reduces_to_dumbbell_newreno;
-    Alcotest.test_case "single link reduces to dumbbell (lossy on/off)" `Slow
-      test_reduces_to_dumbbell_onoff_lossy;
-    Alcotest.test_case "single link reduces to dumbbell (remycc)" `Slow
-      test_reduces_to_dumbbell_remycc;
     Alcotest.test_case "parking lot shares the chain" `Slow
       test_parking_lot_shares_chain;
     Alcotest.test_case "fat-tree pod smoke" `Quick test_fat_tree_pod_smoke;
@@ -237,6 +196,8 @@ let tests =
       test_parking_lot_deterministic;
     Alcotest.test_case "4096-flow incast on/off deterministic" `Slow
       test_incast_4096_onoff_deterministic;
+    Alcotest.test_case "probed parking lot: one queue row per qdisc" `Quick
+      test_parking_lot_probe_queue_names;
     Alcotest.test_case "registry" `Quick test_registry;
     Alcotest.test_case "route validation" `Quick test_validation;
   ]
