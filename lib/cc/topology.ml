@@ -5,12 +5,11 @@ open Remy_util
    Each link is a qdisc + transmission server (constant-rate or
    trace-driven) + exit propagation delay; packets are routed
    hop-by-hop via a per-link next-hop table, and a packet leaving its
-   last link travels a per-flow delivery line (that link's exit delay
-   plus the flow's access delay) to a structure-of-arrays receiver
-   bank.  ACKs return over uncongested per-flow reverse paths whose
-   delay equals the flow's total forward propagation (symmetric
-   paths).  The paper's dumbbell is the one-link case, built by
-   [of_dumbbell]. *)
+   last link travels a delivery line (that link's exit delay plus the
+   flow's access delay) to a structure-of-arrays receiver bank.  ACKs
+   return over uncongested per-flow reverse paths whose delay equals
+   the flow's total forward propagation (symmetric paths).  The
+   paper's dumbbell is the one-link case, built by [of_dumbbell]. *)
 
 type link_spec = {
   service : Dumbbell.service;
@@ -171,17 +170,30 @@ let run ?(tracer = Remy_obs.Trace.off) ?probe_interval ?delivery_hook
             | Some l -> Link.send l pkt
             | None -> assert false))
   in
+  (* A packet leaving its last link rides a delivery line of that link's
+     exit delay plus the flow's access delay.  Flows with equal delivery
+     delays share one line: each push schedules its own event and due
+     times are monotone, so a shared FIFO delivers in exactly the order
+     per-flow lines would, without a ring buffer per flow. *)
+  let by_delay = Hashtbl.create 8 in
   let delivery_lines =
-    Array.mapi
-      (fun i (f : flow_spec) ->
+    Array.map
+      (fun (f : flow_spec) ->
         let last = f.route.(Array.length f.route - 1) in
-        Delay_line.create engine
-          ~delay:(config.links.(last).delay_s +. f.access_delay_s)
-          ~filler:Packet.dummy (fun pkt ->
-            match !bank_ref with
-            | Some bank ->
-              Receiver_bank.receive bank ~now:(Engine.now engine) i pkt
-            | None -> assert false))
+        let delay = config.links.(last).delay_s +. f.access_delay_s in
+        match Hashtbl.find_opt by_delay delay with
+        | Some line -> line
+        | None ->
+          let line =
+            Delay_line.create engine ~delay ~filler:Packet.dummy (fun pkt ->
+                match !bank_ref with
+                | Some bank ->
+                  Receiver_bank.receive bank ~now:(Engine.now engine)
+                    pkt.Packet.flow pkt
+                | None -> assert false)
+          in
+          Hashtbl.add by_delay delay line;
+          line)
       config.flows
   in
   Array.iteri

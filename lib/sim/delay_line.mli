@@ -6,8 +6,8 @@
     the same preallocated callback — so the steady-state cost per value
     is an array write and an agenda push, with no allocation.  Used for
     every fixed propagation delay of a topology run: per-link exit lines
-    between hops, per-flow delivery lines from a flow's last link to its
-    receiver, and per-flow ACK return paths. *)
+    between hops, delivery lines from a flow's last link to its receiver
+    (one per distinct delay), and per-flow ACK return paths. *)
 
 type 'a t
 
