@@ -123,7 +123,9 @@ let test_parking_lot_probe_queue_names () =
     (Topology.run ~tracer:(Remy_obs.Trace.make sink) ~probe_interval:0.5 cfg);
   let s = Remy_obs.Trace_summary.of_records (read ()) in
   let queues =
-    Hashtbl.fold (fun name _ acc -> name :: acc) s.Remy_obs.Trace_summary.by_queue []
+    Hashtbl.fold
+      (fun name _ acc -> name :: acc)
+      s.Remy_obs.Trace_summary.by_queue []
   in
   Alcotest.(check (list string)) "one row per qdisc name" [ "droptail" ] queues;
   let q = Hashtbl.find s.Remy_obs.Trace_summary.by_queue "droptail" in
