@@ -38,6 +38,7 @@ let () =
       ("faults", Test_faults.tests);
       ("incast", Test_incast.tests);
       ("receiver", Test_receiver.tests);
+      ("delack", Test_receiver.delack_tests);
       ("tcp-sender", Test_tcp_sender.tests);
       ("cc-algorithms", Test_cc_algorithms.tests);
       ("xcp-router", Test_xcp_router.tests);

@@ -81,6 +81,19 @@ let test_ecn_echo () =
   receive r ~now:1. p;
   Alcotest.(check bool) "CE echoed" true (List.hd !acks).Packet.ecn_echo
 
+(* Receivers never batch ACKs (there is no delayed-ACK mode): every
+   arrival is answered at once, each ACK advancing the cumulative by one. *)
+let test_no_delack_per_packet () =
+  let r, _, acks = make () in
+  for i = 0 to 3 do
+    receive r ~now:0.1 (pkt i);
+    Alcotest.(check int) "acked on arrival" (i + 1) (List.length !acks)
+  done;
+  let cums = List.rev_map (fun a -> a.Packet.cum_ack) !acks in
+  Alcotest.(check (list int)) "per-packet acks" [ 1; 2; 3; 4 ] cums
+
+let delack_tests = [ Alcotest.test_case "no delack = per-packet" `Quick test_no_delack_per_packet ]
+
 let tests =
   [
     Alcotest.test_case "in-order delivery" `Quick test_in_order;
