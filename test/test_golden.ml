@@ -11,7 +11,12 @@
    - a verizon-lte trace-driven dumbbell running the delta1 table;
    - an XCP dumbbell (router capacity sized from the link rate);
    - a probed, traced dumbbell: every JSONL trace row plus the
-     delivery-hook sequence.
+     delivery-hook sequence;
+   - a dumbbell mixing delta1 RemyCC, Cubic, Vegas and Compound flows,
+     so different congestion controllers share one sender bank;
+   - DCTCP on a RED marking queue (ECN-capable packets);
+   - a faulted parking lot on the SoA fleet with idle restart, which
+     drives the fleet's retransmission timeouts.
 
    Floats enter the digests as their IEEE bit patterns, so a one-ulp
    drift is a failure.  A deliberate behaviour change must update the
@@ -184,6 +189,46 @@ let probed_repr () =
   String.concat "\n" (List.map Remy_obs.Record.to_json (read ()))
   ^ "|" ^ Buffer.contents hook ^ "|" ^ run
 
+let mixed_repr () =
+  let tree = table "delta1" in
+  run_repr
+    (dumbbell ~service:(Dumbbell.Rate_mbps 12.) ~qdisc:(Dumbbell.Droptail 20)
+       ~ccs:
+         [|
+           Remycc.factory tree; Cubic.factory (); Vegas.factory ();
+           Compound.factory ();
+         |]
+       ~rtts:[| 0.06; 0.08; 0.1; 0.12 |]
+       ~workload:(Workload.by_bytes ~mean_bytes:200e3 ~mean_off:0.3)
+       ~start:`Off_draw ~duration:10. ~seed:15)
+
+let dctcp_repr () =
+  run_repr
+    (dumbbell ~service:(Dumbbell.Rate_mbps 100.)
+       ~qdisc:(Dumbbell.Dctcp_red { capacity = 200; threshold = 20 })
+       ~ccs:(Array.make 4 (Dctcp.factory ()))
+       ~rtts:(Array.make 4 0.004)
+       ~workload:(Workload.by_bytes ~mean_bytes:200e3 ~mean_off:0.05)
+       ~start:`Off_draw ~duration:3. ~seed:16)
+
+let faulted_fleet_repr () =
+  let tree = table "delta1" in
+  let faults =
+    match Remy_faults.Spec.parse "outage:1+0.8+3;ge:0.02,0.2,0.3" with
+    | Ok s -> s
+    | Error e -> Alcotest.fail e
+  in
+  let r =
+    Topology.run ~faults
+      ~sender_factory:(Fleet.factory ~idle_restart_s:0.3 tree)
+      (Topology.parking_lot ~hops:2 ~n:6 ~cc:(Remycc.factory tree)
+         ~workload:(Workload.by_bytes ~mean_bytes:60e3 ~mean_off:0.2)
+         ~start:`Off_draw ~duration:8. ~seed:17 ())
+  in
+  Printf.sprintf "%s|%d|%d|%d|%s" (flows_repr r.Topology.flows) r.Topology.drops
+    r.Topology.delivered r.Topology.received
+    (bits r.Topology.bottleneck_utilization)
+
 let pinned name expected repr () =
   Alcotest.(check string) (name ^ " digest") expected (digest (repr ()))
 
@@ -203,4 +248,10 @@ let tests =
     Alcotest.test_case "XCP dumbbell" `Quick (pinned "xcp" "7f5480c613a1a8eba24622634979711a" xcp_repr);
     Alcotest.test_case "probed traced dumbbell" `Quick
       (pinned "probed" "38acfb07586de2688cedc11b585debd7" probed_repr);
+    Alcotest.test_case "mixed-CC dumbbell" `Quick
+      (pinned "mixed" "8cade9ab6d8bc1c7e4f87e282310b086" mixed_repr);
+    Alcotest.test_case "DCTCP on RED" `Quick
+      (pinned "dctcp" "c5c2e29b534b148e4946e00bf3e29259" dctcp_repr);
+    Alcotest.test_case "faulted parking lot on the fleet" `Quick
+      (pinned "faulted fleet" "e8271525c43314818edd6072bf4790f9" faulted_fleet_repr);
   ]
