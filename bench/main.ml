@@ -23,12 +23,11 @@ let micro_tests () =
   let ewma_test =
     Test.make ~name:"ewma/update" (Staged.stage (fun () -> Ewma.update ewma 1.5))
   in
-  let tracker = Remy.Memory.tracker () in
+  let tracker = Remy.Memory.tracker 1 in
   let memory_test =
     Test.make ~name:"memory/on_ack"
       (Staged.stage (fun () ->
-           ignore
-             (Remy.Memory.on_ack tracker ~sent_at:1.0 ~received_at:1.1 ~rtt:0.1)))
+           Remy.Memory.on_ack tracker 0 ~sent_at:1.0 ~received_at:1.1 ~rtt:0.1))
   in
   (* A realistically subdivided rule table for lookup costs. *)
   let tree = Remy.Rule_tree.create () in

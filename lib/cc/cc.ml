@@ -27,4 +27,3 @@ type t = {
 type factory = unit -> t
 
 let no_stamp ~now:_ = None
-let rtt_of (a : ack_info) = a.rtt

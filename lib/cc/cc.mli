@@ -43,6 +43,3 @@ type factory = unit -> t
 
 val no_stamp : now:float -> Remy_sim.Packet.xcp_header option
 (** [fun ~now:_ -> None], the default for end-to-end schemes. *)
-
-val rtt_of : ack_info -> float option
-(** Convenience accessor for the optional RTT sample. *)

@@ -1,10 +1,9 @@
 open Remy_sim
 open Remy_util
 
-(* Pluggable sender implementations for topology runners.  The default
-   backend wraps one {!Tcp_sender} record per flow; the structure-of-
-   arrays RemyCC fleet in lib/core provides an alternative factory
-   with identical observable behaviour (bit-identical runs). *)
+(* Pluggable sender implementations for topology runners.  Every
+   backend is one Tcp_sender bank per run; backends differ only in the
+   bank's congestion-control plug. *)
 
 type ops = {
   start_flow : unit -> unit;
@@ -12,6 +11,7 @@ type ops = {
   cwnd : unit -> float;
   pacing_gap : unit -> float;
   srtt : unit -> float option;
+  flush : unit -> unit;
 }
 
 type env = {
@@ -20,7 +20,6 @@ type env = {
   metrics : Metrics.t;
   n_flows : int;
   flow : int;
-  flow_rtt : float; (* two-way propagation over the flow's route *)
   workload : Workload.t;
   start : [ `Immediate | `Off_draw ];
   min_rto : float;
@@ -29,27 +28,34 @@ type env = {
 }
 
 type factory = env -> ops
-(** Called once per flow, in flow order, with one fresh factory value
-    per run (fleet factories allocate shared state on first use). *)
 
-let records cc_factory : factory =
- fun env ->
-  let sender =
-    Tcp_sender.create ~pool:env.pool env.engine
-      {
-        Tcp_sender.flow = env.flow;
-        cc = cc_factory ();
-        rtt = env.flow_rtt;
-        workload = env.workload;
-        start = env.start;
-        min_rto = env.min_rto;
-      }
-      ~transmit:env.transmit ~metrics:env.metrics ~rng:env.rng
-  in
-  {
-    start_flow = (fun () -> Tcp_sender.start sender);
-    handle_ack = (fun ack -> Tcp_sender.handle_ack sender ack);
-    cwnd = (fun () -> Tcp_sender.cwnd sender);
-    pacing_gap = (fun () -> Tcp_sender.pacing_gap sender);
-    srtt = (fun () -> Tcp_sender.srtt sender);
-  }
+let bank make_plug : factory =
+  let bank = ref None in
+  fun env ->
+    let b =
+      match !bank with
+      | Some b -> b
+      | None ->
+        let b =
+          Tcp_sender.create env.engine ~pool:env.pool ~metrics:env.metrics
+            (make_plug env)
+        in
+        bank := Some b;
+        b
+    in
+    if env.n_flows <> Tcp_sender.n_flows b then
+      invalid_arg "Sender_backend.bank: inconsistent n_flows across calls";
+    let i = env.flow in
+    Tcp_sender.add_flow b i ~workload:env.workload ~start:env.start
+      ~min_rto:env.min_rto ~rng:env.rng ~transmit:env.transmit;
+    {
+      start_flow = (fun () -> Tcp_sender.start b i);
+      handle_ack = (fun ack -> Tcp_sender.handle_ack b i ack);
+      cwnd = (fun () -> Tcp_sender.cwnd b i);
+      pacing_gap = (fun () -> Tcp_sender.pacing_gap b i);
+      srtt = (fun () -> Tcp_sender.srtt b i);
+      flush = (fun () -> Tcp_sender.flush b);
+    }
+
+let records ccs =
+  bank (fun env -> Tcp_sender.cc_plug env.engine (Array.map (fun mk -> mk ()) ccs))

@@ -2,11 +2,12 @@
 
     The {!Topology} runner talks to senders only through {!ops}; a
     {!factory} builds one ops value per flow from that flow's wiring
-    {!env}.  {!records} is the default backend — one {!Tcp_sender}
-    record per flow — and the structure-of-arrays RemyCC fleet in
-    lib/core ([Remy.Fleet]) is an alternative factory with identical
-    observable behaviour (runs are bit-identical; test_fleet proves
-    it). *)
+    {!env}.  Every backend here is one {!Tcp_sender} bank per run,
+    which owns the host TCP machinery; backends differ only in the
+    bank's congestion-control plug.  {!records} plugs in one
+    {!Cc.t} per flow; the structure-of-arrays RemyCC plug in lib/core
+    ([Remy.Fleet]) runs the same bank (runs are bit-identical;
+    test_fleet proves it). *)
 
 type ops = {
   start_flow : unit -> unit;
@@ -16,6 +17,10 @@ type ops = {
   cwnd : unit -> float;
   pacing_gap : unit -> float;
   srtt : unit -> float option;
+  flush : unit -> unit;
+      (** After the run: publish the backend's per-run counters
+          ({!Tcp_sender.flush}).  The runner calls it for every flow;
+          calls after the first for one bank add nothing. *)
 }
 
 type env = {
@@ -24,7 +29,6 @@ type env = {
   metrics : Remy_sim.Metrics.t;
   n_flows : int;
   flow : int;
-  flow_rtt : float;  (** two-way propagation over the flow's route *)
   workload : Remy_sim.Workload.t;
   start : [ `Immediate | `Off_draw ];
   min_rto : float;
@@ -34,7 +38,14 @@ type env = {
 
 type factory = env -> ops
 (** Called once per flow, in flow order, with one fresh factory value
-    per run (fleet factories allocate shared state on first use). *)
+    per run (the bank is allocated on the first call). *)
 
-val records : Cc.factory -> factory
-(** The per-record baseline: wraps {!Tcp_sender.create}. *)
+val bank : (env -> Tcp_sender.plug) -> factory
+(** One {!Tcp_sender} bank per factory value, driven by the plug the
+    first call's [env] builds; the plug's arrays must cover
+    [env.n_flows] flows.  Reusing the value for a run with a different
+    flow count raises [Invalid_argument]. *)
+
+val records : Cc.factory array -> factory
+(** The closure-plug bank ({!Tcp_sender.cc_plug}): flow [i] runs a
+    fresh [ccs.(i) ()]. *)

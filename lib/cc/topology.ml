@@ -234,8 +234,8 @@ let run ?(tracer = Remy_obs.Trace.off) ?probe_interval ?delivery_hook
               incr acks_handled;
               ops.Sender_backend.handle_ack ack
             | None -> assert false);
-            (* The sender copies what it needs into [Cc.ack_info];
-               nothing retains the ack past [handle_ack]. *)
+            (* The sender and its plug read the ack during
+               [handle_ack]; nothing retains it past the call. *)
             Packet.Pool.release_ack pool ack))
   in
   let bank =
@@ -244,6 +244,13 @@ let run ?(tracer = Remy_obs.Trace.off) ?probe_interval ?delivery_hook
       ~fwd_delay ?delivery_hook ()
   in
   bank_ref := Some bank;
+  let factory =
+    match sender_factory with
+    | Some factory -> factory
+    | None ->
+      Sender_backend.records
+        (Array.map (fun (f : flow_spec) -> f.cc) config.flows)
+  in
   (* Flow order fixes the RNG split sequence. *)
   Array.iteri
     (fun i (f : flow_spec) ->
@@ -256,7 +263,6 @@ let run ?(tracer = Remy_obs.Trace.off) ?probe_interval ?delivery_hook
           metrics;
           n_flows = n;
           flow = i;
-          flow_rtt = 2. *. fwd_delay.(i);
           workload = f.workload;
           start = f.start;
           min_rto = config.min_rto;
@@ -264,12 +270,7 @@ let run ?(tracer = Remy_obs.Trace.off) ?probe_interval ?delivery_hook
           transmit = (fun pkt -> Link.send (link_of first) pkt);
         }
       in
-      let ops =
-        match sender_factory with
-        | Some factory -> factory env
-        | None -> Sender_backend.records f.cc env
-      in
-      ops_arr.(i) <- Some ops)
+      ops_arr.(i) <- Some (factory env))
     config.flows;
   let ops_of i =
     match ops_arr.(i) with Some ops -> ops | None -> assert false
@@ -304,6 +305,9 @@ let run ?(tracer = Remy_obs.Trace.off) ?probe_interval ?delivery_hook
     (ops_of i).Sender_backend.start_flow ()
   done;
   Engine.run engine ~until:config.duration;
+  for i = 0 to n - 1 do
+    (ops_of i).Sender_backend.flush ()
+  done;
   Remy_obs.Counters.add Remy_obs.Counters.acks_processed !acks_handled;
   Remy_obs.Counters.add Remy_obs.Counters.pool_hits (Packet.Pool.hits pool);
   Remy_obs.Counters.add Remy_obs.Counters.pool_misses (Packet.Pool.misses pool);

@@ -73,9 +73,10 @@ val run :
     {!Remy_obs.Probe.times}.  Tracing only observes: results are
     bit-identical with the tracer on, off, or absent.  [delivery_hook]
     observes every fresh data delivery (Fig. 6's sequence plot).
-    [sender_factory] overrides the default per-record TCP sender
-    backend (e.g. with the SoA RemyCC fleet); results must be
-    bit-identical across conforming backends.  [faults] (default
+    [sender_factory] overrides the default sender backend, a
+    {!Tcp_sender} bank running each flow's [cc]
+    ({!Sender_backend.records}), e.g. with the SoA RemyCC plug;
+    results must be bit-identical across conforming backends.  [faults] (default
     {!Remy_faults.Spec.empty}) installs a fault schedule per link; with
     the empty spec the wiring is skipped entirely. *)
 

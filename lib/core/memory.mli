@@ -26,25 +26,35 @@ val clamp : float -> float
 val ewma_weight : float
 (** 1/8. *)
 
-type tracker
-(** Mutable per-connection signal tracker. *)
+type tracker = private {
+  raw_ack_ewma : float array;  (** unclamped, ms *)
+  raw_send_ewma : float array;  (** unclamped, ms *)
+  last_received_at : float array;
+      (** receiver timestamp of the last ACK folded in (NaN before the
+          first), so callers can detect a long ACK gap — e.g. a link
+          outage — and restart the estimators rather than feed them one
+          giant delta *)
+  last_sent_at : float array;  (** NaN before the first ACK *)
+  min_rtt_s : float array;  (** infinity before the first sample *)
+  raw_rtt_ratio : float array;  (** unclamped *)
+}
+(** Mutable signal trackers of several connections, one flat array per
+    field, indexed by connection: updating one allocates nothing. *)
 
-val tracker : unit -> tracker
-val reset : tracker -> unit
+val tracker : int -> tracker
+(** [tracker n]: [n] connections, each in the all-zero state. *)
 
-val on_ack : tracker -> sent_at:float -> received_at:float -> rtt:float -> t
-(** Feed one acknowledgment (times in seconds; [rtt] measured by the
-    sender) and return the updated memory. *)
+val reset : tracker -> int -> unit
 
-val current : tracker -> t
+val on_ack : tracker -> int -> sent_at:float -> received_at:float -> rtt:float -> unit
+(** Feed one acknowledgment of connection [i] (times in seconds; [rtt]
+    measured by the sender). *)
 
-val min_rtt : tracker -> float option
+val current : tracker -> int -> t
+(** Connection [i]'s memory, clamped into the cube. *)
+
+val min_rtt : tracker -> int -> float option
 (** Smallest RTT seen this connection, seconds. *)
-
-val last_received_at : tracker -> float
-(** Receiver timestamp of the last ACK folded in (NaN before the first),
-    so callers can detect a long ACK gap — e.g. a link outage — and
-    restart the estimators rather than feed them one giant delta. *)
 
 val get : t -> int -> float
 (** Dimension accessor: 0 = ack_ewma, 1 = send_ewma, 2 = rtt_ratio. *)

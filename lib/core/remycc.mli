@@ -43,6 +43,21 @@ val factory :
   Rule_tree.t ->
   Remy_cc.Cc.factory
 
+val plug :
+  ?override:int * Action.t ->
+  ?tally:Tally.t ->
+  ?idle_restart_s:float ->
+  Rule_tree.t ->
+  Remy_cc.Sender_backend.env ->
+  Remy_cc.Tcp_sender.plug
+(** The same runtime for every flow of a run at once, as the plug of a
+    {!Remy_cc.Tcp_sender} bank ({!Fleet}): the memory signals, windows
+    and pacing gaps of all flows live in flat arrays, and an ack
+    allocates nothing unless [tally] wants memory samples.  Runs are
+    bit-identical to a bank of {!make} closures, which run the same
+    arithmetic on one flow.  Rule lookups are added to
+    {!Remy_obs.Counters.lookups} when the bank is flushed. *)
+
 val load_result : string -> (Rule_tree.t, string) result
 (** Load and validate a rule table for execution
     ({!Rule_tree.load_validated}): callers get a printable diagnostic —

@@ -135,8 +135,8 @@ module Pool = struct
     p
 
   (* remy-lint: hot *)
-  let acquire p ~flow ~seq ~conn ~now ?(size = default_size) ?(retx = false)
-      ?(ecn_capable = false) ?xcp () =
+  let acquire p ~flow ~seq ~conn ~now ~retx ~ecn_capable ?(size = default_size)
+      ?xcp () =
     if p.n_pkts > 0 then begin
       p.n_pkts <- p.n_pkts - 1;
       p.hits <- p.hits + 1;

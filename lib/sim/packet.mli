@@ -88,12 +88,14 @@ module Pool : sig
     seq:int ->
     conn:int ->
     now:float ->
+    retx:bool ->
+    ecn_capable:bool ->
     ?size:int ->
-    ?retx:bool ->
-    ?ecn_capable:bool ->
     ?xcp:xcp_header ->
     unit ->
     t
+  (** The per-send flags are required, not optional: a computed optional
+      argument is boxed in [Some] on every call. *)
 
   val release : pool -> t -> unit
   (** The caller must not touch the record afterwards: it will be handed

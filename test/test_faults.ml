@@ -296,8 +296,9 @@ let test_idle_restart_deterministic_under_outage () =
     (summaries (run ()) = summaries (run ()))
 
 let test_fleet_matches_records_under_faults () =
-  (* The SoA fleet mirrors the per-record sender; the fault layer and
-     idle-restart must not break the bit-identical equivalence. *)
+  (* The SoA RemyCC plug and the closure plug run on one TCP sender;
+     the fault layer and idle-restart must not break the bit-identical
+     equivalence of the two plugs. *)
   let tree = Remy.Rule_tree.create () in
   let faults = parse_ok "outage:0.5+1+4;ge:0.02,0.2,0.3" in
   let config idle =

@@ -1,8 +1,9 @@
-(* The SoA fleet acceptance tests: Fleet.factory must be a drop-in,
-   bit-identical replacement for the per-record backend
-   (Tcp_sender + Remycc closures) that Topology.run uses by default.
+(* The SoA fleet acceptance tests: both congestion-control plugs run
+   on the one Tcp_sender bank, and Fleet.factory (the SoA RemyCC plug)
+   must be a drop-in, bit-identical replacement for the closure plug
+   over Remycc closures that Topology.run uses by default ("records").
    Equivalence is checked flow for flow on multi-bottleneck scenarios
-   that exercise every code path the fleet mirrors — pacing, windowing,
+   that exercise every path a plug is called on — pacing, windowing,
    NewReno-style recovery, RFC 6298 timeouts under stochastic loss,
    on/off restarts — plus the override and tally side channels the
    optimizer depends on. *)
@@ -42,10 +43,10 @@ let check_flow name i (a : Metrics.flow_summary) (b : Metrics.flow_summary) =
   Alcotest.(check int) (lbl "packets") a.Metrics.packets b.Metrics.packets;
   Alcotest.(check (float 0.)) (lbl "on_time") a.Metrics.on_time b.Metrics.on_time
 
-(* Run [config] under both backends and demand identical results.  The
+(* Run [config] under both plugs and demand identical results.  The
    records arm relies on the flows' [cc] factories (Remycc closures);
-   the fleet arm substitutes the shared-array backend for the same
-   tree.  A fleet factory is single-use, so build it here. *)
+   the fleet arm substitutes the SoA RemyCC plug for the same tree.  A
+   fleet factory is single-use, so build it here. *)
 let check_equiv ?override ?tally_pair name tree (config : Topology.config) =
   let records =
     match tally_pair with
@@ -156,6 +157,46 @@ let test_fleet_matches_records_tally () =
   Alcotest.(check bool) "rules were exercised" true
     (List.exists (fun id -> Tally.count t_rec id > 0) (Rule_tree.live_ids tree))
 
+let test_lookups_counted () =
+  (* Every rule lookup of a run reaches Counters.lookups, on both
+     plugs: the fleet publishes its local count when the bank is
+     flushed, the closure counts each lookup.  A tally records every
+     lookup, so its fired counts are the expected total. *)
+  let tree = make_tree () in
+  let cfg =
+    Topology.parking_lot ~hops:2 ~n:4 ~cc:(Remycc.factory tree)
+      ~workload:Workload.saturating ~start:`Immediate ~duration:2. ~seed:8 ()
+  in
+  let tally () = Tally.create ~capacity:(Rule_tree.capacity tree) ~seed:3 () in
+  let fired t =
+    List.fold_left (fun acc (_, n, _) -> acc + n) 0 (Tally.export t)
+  in
+  let counted run =
+    let before = Atomic.get Remy_obs.Counters.lookups in
+    ignore (run ());
+    Atomic.get Remy_obs.Counters.lookups - before
+  in
+  let t_rec = tally () and t_fleet = tally () in
+  let closures =
+    counted (fun () ->
+        Topology.run
+          {
+            cfg with
+            Topology.flows =
+              Array.map
+                (fun (f : Topology.flow_spec) ->
+                  { f with Topology.cc = Remycc.factory ~tally:t_rec tree })
+                cfg.Topology.flows;
+          })
+  in
+  let fleet =
+    counted (fun () ->
+        Topology.run ~sender_factory:(Fleet.factory ~tally:t_fleet tree) cfg)
+  in
+  Alcotest.(check bool) "lookups ran" true (fired t_fleet > 0);
+  Alcotest.(check int) "closure lookups counted" (fired t_rec) closures;
+  Alcotest.(check int) "fleet lookups counted" (fired t_fleet) fleet
+
 let test_fleet_scales_to_4096 () =
   (* The allocation story at the target scale: a 4096-flow incast burst
      runs to completion and stays deterministic. *)
@@ -194,6 +235,8 @@ let tests =
       test_fleet_matches_records_lossy;
     Alcotest.test_case "fleet matches records (tally)" `Slow
       test_fleet_matches_records_tally;
+    Alcotest.test_case "rule lookups reach Counters.lookups" `Quick
+      test_lookups_counted;
     Alcotest.test_case "fleet runs 4096 flows deterministically" `Slow
       test_fleet_scales_to_4096;
     Alcotest.test_case "fleet factory is single-use" `Quick

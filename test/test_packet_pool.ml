@@ -1,5 +1,10 @@
 open Remy_sim
 
+(* A first-transmission, non-ECN packet of flow 0. *)
+let acquire p seq =
+  Packet.Pool.acquire p ~flow:0 ~seq ~conn:0 ~now:0. ~retx:false
+    ~ecn_capable:false ()
+
 let test_acquire_reinitialises () =
   let p = Packet.Pool.create () in
   let a =
@@ -12,7 +17,10 @@ let test_acquire_reinitialises () =
   a.Packet.xcp <-
     Some { Packet.xcp_cwnd = 1.; xcp_rtt = 0.1; xcp_feedback = 2. };
   Packet.Pool.release p a;
-  let b = Packet.Pool.acquire p ~flow:9 ~seq:8 ~conn:7 ~now:6.5 () in
+  let b =
+    Packet.Pool.acquire p ~flow:9 ~seq:8 ~conn:7 ~now:6.5 ~retx:false
+      ~ecn_capable:false ()
+  in
   Alcotest.(check bool) "same record recycled" true (a == b);
   let fresh = Packet.make ~flow:9 ~seq:8 ~conn:7 ~now:6.5 () in
   Alcotest.(check int) "flow" fresh.Packet.flow b.Packet.flow;
@@ -29,14 +37,14 @@ let test_acquire_reinitialises () =
 
 let test_hit_miss_accounting () =
   let p = Packet.Pool.create () in
-  let a = Packet.Pool.acquire p ~flow:0 ~seq:0 ~conn:0 ~now:0. () in
-  let b = Packet.Pool.acquire p ~flow:0 ~seq:1 ~conn:0 ~now:0. () in
+  let a = acquire p 0 in
+  let b = acquire p 1 in
   Alcotest.(check int) "cold pool misses" 2 (Packet.Pool.misses p);
   Alcotest.(check int) "no hits yet" 0 (Packet.Pool.hits p);
   Packet.Pool.release p a;
   Packet.Pool.release p b;
-  ignore (Packet.Pool.acquire p ~flow:0 ~seq:2 ~conn:0 ~now:0. ());
-  ignore (Packet.Pool.acquire p ~flow:0 ~seq:3 ~conn:0 ~now:0. ());
+  ignore (acquire p 2);
+  ignore (acquire p 3);
   Alcotest.(check int) "recycles are hits" 2 (Packet.Pool.hits p);
   Alcotest.(check int) "misses unchanged" 2 (Packet.Pool.misses p)
 
@@ -45,7 +53,7 @@ let test_lost_records_replenish () =
      pool must keep serving fresh ones via misses. *)
   let p = Packet.Pool.create () in
   for seq = 0 to 99 do
-    ignore (Packet.Pool.acquire p ~flow:0 ~seq ~conn:0 ~now:0. ())
+    ignore (acquire p seq)
   done;
   Alcotest.(check int) "every acquire a miss" 100 (Packet.Pool.misses p)
 
@@ -61,12 +69,12 @@ let test_ack_pool_recycles () =
 let test_pool_grows_past_initial_capacity () =
   let p = Packet.Pool.create () in
   let pkts =
-    List.init 500 (fun seq -> Packet.Pool.acquire p ~flow:0 ~seq ~conn:0 ~now:0. ())
+    List.init 500 (fun seq -> acquire p seq)
   in
   List.iter (Packet.Pool.release p) pkts;
   (* All 500 must come back from the free list. *)
   for seq = 0 to 499 do
-    ignore (Packet.Pool.acquire p ~flow:0 ~seq ~conn:0 ~now:0. ())
+    ignore (acquire p seq)
   done;
   Alcotest.(check int) "full recycling" 500 (Packet.Pool.hits p)
 

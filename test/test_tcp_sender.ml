@@ -2,33 +2,38 @@ open Remy_cc
 open Remy_sim
 open Remy_util
 
-(* Direct sender<->receiver harness with injectable loss: [should_drop]
-   sees every transmission (packet + transmission count for that seq)
-   and decides its fate.  One-way delay is [delay] in each direction. *)
+(* Direct sender<->receiver harness with injectable loss: a one-flow
+   bank (flow 0) on a shared packet pool.  [should_drop] sees every
+   transmission (packet + transmission count for that seq) and decides
+   its fate.  One-way delay is [delay] in each direction. *)
 type harness = {
   engine : Engine.t;
   sender : Tcp_sender.t;
   metrics : Metrics.t;
-  mutable transmissions : Packet.t list;  (* newest first *)
+  mutable transmissions : Packet.t list;  (* newest first, copies *)
 }
 
 let make_harness ?(delay = 0.05) ?(min_rto = 0.2) ?(should_drop = fun _ _ -> false)
     ?(workload = Workload.saturating) ?(start = `Immediate) cc =
   let engine = Engine.create () in
   let metrics = Metrics.create ~n_flows:1 in
+  let pool = Packet.Pool.create () in
   let rng = Prng.create 42 in
   let tx_counts : (int * int, int) Hashtbl.t = Hashtbl.create 64 in
-  let sender_cell = ref None in
+  let sender =
+    Tcp_sender.create engine ~pool ~metrics (Tcp_sender.cc_plug engine [| cc |])
+  in
   let receiver =
-    Receiver_bank.create ~metrics ~pool:(Packet.Pool.create ())
+    Receiver_bank.create ~metrics ~pool
       ~ack_sink:(fun _ ack ->
-        Engine.schedule_in engine delay (fun () ->
-            Tcp_sender.handle_ack (Option.get !sender_cell) ack))
+        Engine.schedule_in engine delay (fun () -> Tcp_sender.handle_ack sender 0 ack))
       ~fwd_delay:[| delay |] ()
   in
-  let h = ref None in
+  let h = { engine; sender; metrics; transmissions = [] } in
   let transmit pkt =
-    (match !h with Some h -> h.transmissions <- pkt :: h.transmissions | None -> ());
+    (* Keep a copy: the receiver releases the packet to the pool, which
+       recycles it for a later send. *)
+    h.transmissions <- { pkt with Packet.seq = pkt.Packet.seq } :: h.transmissions;
     let key = (pkt.Packet.conn, pkt.Packet.seq) in
     let count = (try Hashtbl.find tx_counts key with Not_found -> 0) + 1 in
     Hashtbl.replace tx_counts key count;
@@ -36,15 +41,8 @@ let make_harness ?(delay = 0.05) ?(min_rto = 0.2) ?(should_drop = fun _ _ -> fal
       Engine.schedule_in engine delay (fun () ->
           Receiver_bank.receive receiver ~now:(Engine.now engine) 0 pkt)
   in
-  let sender =
-    Tcp_sender.create engine
-      { Tcp_sender.flow = 0; cc; rtt = 2. *. delay; workload; start; min_rto }
-      ~transmit ~metrics ~rng
-  in
-  sender_cell := Some sender;
-  let harness = { engine; sender; metrics; transmissions = [] } in
-  h := Some harness;
-  harness
+  Tcp_sender.add_flow sender 0 ~workload ~start ~min_rto ~rng ~transmit;
+  h
 
 let fixed_transfer n =
   {
@@ -54,11 +52,11 @@ let fixed_transfer n =
 
 let test_lossless_transfer_completes () =
   let h = make_harness ~workload:(fixed_transfer 50) (Newreno.make ()) in
-  Tcp_sender.start h.sender;
+  Tcp_sender.start h.sender 0;
   Engine.run h.engine ~until:30.;
-  Alcotest.(check int) "all 50 segments acked" 50 (Tcp_sender.cum_acked h.sender);
-  Alcotest.(check bool) "flow completed (off)" false (Tcp_sender.is_on h.sender);
-  Alcotest.(check int) "no retransmissions" 0 (Tcp_sender.retransmissions h.sender);
+  Alcotest.(check int) "all 50 segments acked" 50 (Tcp_sender.cum_acked h.sender 0);
+  Alcotest.(check bool) "flow completed (off)" false (Tcp_sender.is_on h.sender 0);
+  Alcotest.(check int) "no retransmissions" 0 (Tcp_sender.retransmissions h.sender 0);
   let s = Metrics.summary h.metrics 0 in
   Alcotest.(check int) "receiver got 50" 50 s.Metrics.packets
 
@@ -66,30 +64,30 @@ let test_fast_retransmit_recovers () =
   (* Drop the first transmission of segment 10 only. *)
   let should_drop pkt count = pkt.Packet.seq = 10 && count = 1 in
   let h = make_harness ~should_drop ~workload:(fixed_transfer 60) (Newreno.make ()) in
-  Tcp_sender.start h.sender;
+  Tcp_sender.start h.sender 0;
   Engine.run h.engine ~until:30.;
-  Alcotest.(check int) "transfer completes" 60 (Tcp_sender.cum_acked h.sender);
-  Alcotest.(check bool) "retransmitted" true (Tcp_sender.retransmissions h.sender >= 1);
-  Alcotest.(check int) "no timeout needed" 0 (Tcp_sender.timeouts h.sender)
+  Alcotest.(check int) "transfer completes" 60 (Tcp_sender.cum_acked h.sender 0);
+  Alcotest.(check bool) "retransmitted" true (Tcp_sender.retransmissions h.sender 0 >= 1);
+  Alcotest.(check int) "no timeout needed" 0 (Tcp_sender.timeouts h.sender 0)
 
 let test_rto_recovers_tail_loss () =
   (* Drop the first transmission of the last segment: no dupACKs can
      arrive, so only the RTO can recover it. *)
   let should_drop pkt count = pkt.Packet.seq = 19 && count = 1 in
   let h = make_harness ~should_drop ~workload:(fixed_transfer 20) (Newreno.make ()) in
-  Tcp_sender.start h.sender;
+  Tcp_sender.start h.sender 0;
   Engine.run h.engine ~until:30.;
-  Alcotest.(check int) "transfer completes" 20 (Tcp_sender.cum_acked h.sender);
-  Alcotest.(check bool) "timeout fired" true (Tcp_sender.timeouts h.sender >= 1)
+  Alcotest.(check int) "transfer completes" 20 (Tcp_sender.cum_acked h.sender 0);
+  Alcotest.(check bool) "timeout fired" true (Tcp_sender.timeouts h.sender 0 >= 1)
 
 let test_burst_loss_recovers () =
   (* Drop a 12-segment burst once: triggers recovery and possibly RTO
      go-back-N; the transfer must still complete. *)
   let should_drop pkt count = pkt.Packet.seq >= 20 && pkt.Packet.seq < 32 && count = 1 in
   let h = make_harness ~should_drop ~workload:(fixed_transfer 80) (Newreno.make ()) in
-  Tcp_sender.start h.sender;
+  Tcp_sender.start h.sender 0;
   Engine.run h.engine ~until:60.;
-  Alcotest.(check int) "transfer completes" 80 (Tcp_sender.cum_acked h.sender)
+  Alcotest.(check int) "transfer completes" 80 (Tcp_sender.cum_acked h.sender 0)
 
 let test_karn_no_rtt_from_retx () =
   (* All RTT samples must come from first transmissions: make the
@@ -97,9 +95,9 @@ let test_karn_no_rtt_from_retx () =
      reasonable. *)
   let should_drop pkt count = pkt.Packet.seq = 5 && count = 1 in
   let h = make_harness ~should_drop ~workload:(fixed_transfer 40) (Newreno.make ()) in
-  Tcp_sender.start h.sender;
+  Tcp_sender.start h.sender 0;
   Engine.run h.engine ~until:30.;
-  match Tcp_sender.srtt h.sender with
+  match Tcp_sender.srtt h.sender 0 with
   | Some srtt -> Alcotest.(check bool) "srtt near 100 ms" true (srtt < 0.3)
   | None -> Alcotest.fail "no srtt"
 
@@ -120,16 +118,16 @@ let test_window_limits_flight () =
   in
   let h = make_harness ~workload:(fixed_transfer 40) fixed_cc in
   let max_flight = ref 0 in
-  Tcp_sender.start h.sender;
+  Tcp_sender.start h.sender 0;
   (* Sample in-flight after every event via a polling tick. *)
   let rec probe () =
-    max_flight := max !max_flight (Tcp_sender.in_flight h.sender);
+    max_flight := max !max_flight (Tcp_sender.in_flight h.sender 0);
     if Engine.now h.engine < 20. then Engine.schedule_in h.engine 0.001 probe
   in
   probe ();
   Engine.run h.engine ~until:20.;
   Alcotest.(check bool) "window respected" true (!max_flight <= 4);
-  Alcotest.(check int) "transfer completes" 40 (Tcp_sender.cum_acked h.sender)
+  Alcotest.(check int) "transfer completes" 40 (Tcp_sender.cum_acked h.sender 0)
 
 let test_pacing_spacing () =
   (* intersend of 30 ms: consecutive sends at least that far apart. *)
@@ -147,7 +145,7 @@ let test_pacing_spacing () =
     }
   in
   let h = make_harness ~workload:(fixed_transfer 20) paced_cc in
-  Tcp_sender.start h.sender;
+  Tcp_sender.start h.sender 0;
   Engine.run h.engine ~until:10.;
   let sends = List.rev_map (fun p -> p.Packet.sent_at) h.transmissions in
   let rec check = function
@@ -157,7 +155,7 @@ let test_pacing_spacing () =
     | _ -> ()
   in
   check sends;
-  Alcotest.(check int) "transfer completes" 20 (Tcp_sender.cum_acked h.sender)
+  Alcotest.(check int) "transfer completes" 20 (Tcp_sender.cum_acked h.sender 0)
 
 let test_on_off_connections () =
   (* Two on-periods: fresh connection counters and sequence space. *)
@@ -168,10 +166,10 @@ let test_on_off_connections () =
     }
   in
   let h = make_harness ~workload:w (Newreno.make ()) in
-  Tcp_sender.start h.sender;
+  Tcp_sender.start h.sender 0;
   Engine.run h.engine ~until:5.;
   Alcotest.(check bool) "several connections" true
-    (Tcp_sender.connections_started h.sender >= 3);
+    (Tcp_sender.connections_started h.sender 0 >= 3);
   let conns =
     List.sort_uniq compare (List.map (fun p -> p.Packet.conn) h.transmissions)
   in
@@ -196,9 +194,9 @@ let test_by_time_flow_stops () =
     }
   in
   let h = make_harness ~workload:w (Newreno.make ()) in
-  Tcp_sender.start h.sender;
+  Tcp_sender.start h.sender 0;
   Engine.run h.engine ~until:5.;
-  Alcotest.(check bool) "off after deadline" false (Tcp_sender.is_on h.sender);
+  Alcotest.(check bool) "off after deadline" false (Tcp_sender.is_on h.sender 0);
   let last_send =
     match h.transmissions with [] -> 0. | p :: _ -> p.Packet.sent_at
   in
@@ -206,8 +204,8 @@ let test_by_time_flow_stops () =
 
 let test_start_immediate_vs_off_draw () =
   let h = make_harness ~start:`Immediate ~workload:(fixed_transfer 1) (Newreno.make ()) in
-  Tcp_sender.start h.sender;
-  Alcotest.(check bool) "on at t=0" true (Tcp_sender.is_on h.sender)
+  Tcp_sender.start h.sender 0;
+  Alcotest.(check bool) "on at t=0" true (Tcp_sender.is_on h.sender 0)
 
 let test_zero_window_cc_still_progresses () =
   (* A congestion controller that demands a zero (or negative) window
@@ -227,9 +225,9 @@ let test_zero_window_cc_still_progresses () =
     }
   in
   let h = make_harness ~workload:(fixed_transfer 10) zero_cc in
-  Tcp_sender.start h.sender;
+  Tcp_sender.start h.sender 0;
   Engine.run h.engine ~until:30.;
-  Alcotest.(check int) "transfer still completes" 10 (Tcp_sender.cum_acked h.sender)
+  Alcotest.(check int) "transfer still completes" 10 (Tcp_sender.cum_acked h.sender 0)
 
 let test_pacing_only_rate () =
   (* A huge window with 100 ms pacing: throughput is exactly pace-bound
@@ -248,19 +246,19 @@ let test_pacing_only_rate () =
     }
   in
   let h = make_harness ~workload:(fixed_transfer 1000) paced in
-  Tcp_sender.start h.sender;
+  Tcp_sender.start h.sender 0;
   Engine.run h.engine ~until:10.;
-  let sent = Tcp_sender.next_seq h.sender in
+  let sent = Tcp_sender.next_seq h.sender 0 in
   (* 10 s at 10 pkts/s, +-1 for boundary effects. *)
   Alcotest.(check bool) "pace-bound rate" true (sent >= 99 && sent <= 102)
 
 let test_stale_conn_ack_ignored () =
   let h = make_harness ~workload:(fixed_transfer 5) (Newreno.make ()) in
-  Tcp_sender.start h.sender;
+  Tcp_sender.start h.sender 0;
   Engine.run h.engine ~until:10.;
-  let final = Tcp_sender.cum_acked h.sender in
+  let final = Tcp_sender.cum_acked h.sender 0 in
   (* Forge an ACK from a previous connection: must be a no-op. *)
-  Tcp_sender.handle_ack h.sender
+  Tcp_sender.handle_ack h.sender 0
     {
       Packet.ack_flow = 0;
       ack_conn = 999;
@@ -272,7 +270,7 @@ let test_stale_conn_ack_ignored () =
       ack_xcp_feedback = None;
       received_at = 0.;
     };
-  Alcotest.(check int) "ignored" final (Tcp_sender.cum_acked h.sender)
+  Alcotest.(check int) "ignored" final (Tcp_sender.cum_acked h.sender 0)
 
 let test_delivery_conservation_under_loss () =
   (* Everything cumulatively acked was delivered exactly once, even with
@@ -280,10 +278,10 @@ let test_delivery_conservation_under_loss () =
   let rng = Prng.create 99 in
   let should_drop _ _ = Prng.float rng 1.0 < 0.2 in
   let h = make_harness ~should_drop ~workload:(fixed_transfer 60) (Newreno.make ()) in
-  Tcp_sender.start h.sender;
+  Tcp_sender.start h.sender 0;
   Engine.run h.engine ~until:120.;
   let s = Metrics.summary h.metrics 0 in
-  Alcotest.(check int) "acked = transfer size" 60 (Tcp_sender.cum_acked h.sender);
+  Alcotest.(check int) "acked = transfer size" 60 (Tcp_sender.cum_acked h.sender 0);
   Alcotest.(check int) "unique deliveries = transfer size" 60 s.Metrics.packets
 
 let test_rto_clamped_during_blackout () =
@@ -298,20 +296,20 @@ let test_rto_clamped_during_blackout () =
       ~should_drop:(fun _ _ -> !blackhole)
       ~workload:(fixed_transfer 20) (Newreno.make ())
   in
-  Tcp_sender.start h.sender;
+  Tcp_sender.start h.sender 0;
   Engine.run h.engine ~until:600.;
   Alcotest.(check bool) "backoff saturates" true
-    (Tcp_sender.rto_backoff h.sender <= 64.);
+    (Tcp_sender.rto_backoff h.sender 0 <= 64.);
   Alcotest.(check bool) "timer clamped at max_rto" true
-    (Tcp_sender.current_rto h.sender <= Tcp_sender.max_rto +. 1e-9);
+    (Tcp_sender.current_rto h.sender 0 <= Tcp_sender.max_rto +. 1e-9);
   Alcotest.(check bool) "many timeouts fired (not wedged)" true
-    (Tcp_sender.timeouts h.sender >= 8);
+    (Tcp_sender.timeouts h.sender 0 >= 8);
   blackhole := false;
   Engine.run h.engine ~until:700.;
   Alcotest.(check int) "transfer completes after recovery" 20
-    (Tcp_sender.cum_acked h.sender);
+    (Tcp_sender.cum_acked h.sender 0);
   Alcotest.(check (float 0.)) "backoff reset by new ack" 1.
-    (Tcp_sender.rto_backoff h.sender)
+    (Tcp_sender.rto_backoff h.sender 0)
 
 let tests =
   [
