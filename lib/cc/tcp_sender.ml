@@ -12,7 +12,7 @@ open Remy_util
 type plug = {
   cwnd : float array;
   intersend : float array;
-  ecn_capable : int -> bool;
+  ecn_capable : bool array;
   stamp : int -> Packet.xcp_header option;
   reset : int -> unit;
   on_ack :
@@ -134,7 +134,7 @@ and send_packet t i ~seq =
   let retx = seq < t.highest_sent.(i) in
   let pkt =
     Packet.Pool.acquire t.pool ~flow:i ~seq ~conn:t.conn.(i) ~now ~retx
-      ~ecn_capable:(t.plug.ecn_capable i) ?xcp:(t.plug.stamp i) ()
+      ~ecn_capable:t.plug.ecn_capable.(i) ?xcp:(t.plug.stamp i) ()
   in
   if retx then t.retx_count.(i) <- t.retx_count.(i) + 1;
   t.highest_sent.(i) <- max t.highest_sent.(i) (seq + 1);
@@ -394,7 +394,7 @@ let cc_plug engine (ccs : Cc.t array) =
   {
     cwnd;
     intersend;
-    ecn_capable = (fun i -> ccs.(i).Cc.ecn_capable);
+    ecn_capable = Array.map (fun cc -> cc.Cc.ecn_capable) ccs;
     stamp = (fun i -> ccs.(i).Cc.stamp ~now:(now ()));
     reset =
       (fun i ->

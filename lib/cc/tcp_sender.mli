@@ -30,7 +30,7 @@ type plug = {
       (** per-flow congestion window, in segments (may be fractional
           for RemyCC); its length is the bank's flow count *)
   intersend : float array;  (** per-flow pacing gap, seconds *)
-  ecn_capable : int -> bool;  (** flow [i]'s packets ask for ECN marking *)
+  ecn_capable : bool array;  (** per-flow: packets ask for ECN marking *)
   stamp : int -> Remy_sim.Packet.xcp_header option;
       (** congestion header for flow [i]'s next packet (XCP only) *)
   reset : int -> unit;  (** flow [i] starts a connection ("on" period) *)

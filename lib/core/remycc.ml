@@ -136,7 +136,7 @@ let plug ?override ?tally ?idle_restart_s tree (env : Sender_backend.env) =
   {
     Tcp_sender.cwnd = f.cwnd;
     intersend = f.intersend;
-    ecn_capable = (fun _ -> false);
+    ecn_capable = Array.make env.n_flows false;
     stamp = (fun _ -> None);
     reset = reset f;
     (* The RTT sample [make] sees: Karn-valid or, when Karn's rule

@@ -235,10 +235,10 @@ let tests =
       test_fleet_matches_records_lossy;
     Alcotest.test_case "fleet matches records (tally)" `Slow
       test_fleet_matches_records_tally;
-    Alcotest.test_case "rule lookups reach Counters.lookups" `Quick
-      test_lookups_counted;
     Alcotest.test_case "fleet runs 4096 flows deterministically" `Slow
       test_fleet_scales_to_4096;
     Alcotest.test_case "fleet factory is single-use" `Quick
       test_fleet_factory_is_single_use;
+    Alcotest.test_case "rule lookups reach Counters.lookups" `Quick
+      test_lookups_counted;
   ]
