@@ -20,8 +20,7 @@
 
     The congestion controller is a {!plug} and only ever decides "how
     big a window, how fast to pace" — exactly the paper's division of
-    labor.  Per-flow state lives in flat arrays indexed by flow, so the
-    ack path does not allocate on the bank's side. *)
+    labor.  Per-flow state lives in flat arrays indexed by flow. *)
 
 type t
 

@@ -5,7 +5,7 @@
     flow's RemyCC memory signals in flat float arrays, each rule's
     action written straight into the bank's window and pacing arrays,
     instead of one {!Remycc} closure set per flow.  Steady-state ack
-    processing allocates nothing (unless a [tally] wants memory
+    processing builds no record (unless a [tally] wants memory
     samples), so 10k-flow scenarios run with O(1) allocation per ack.
 
     Behaviour is bit-identical to [Sender_backend.records] over

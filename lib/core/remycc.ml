@@ -8,8 +8,8 @@ let all_signals = { use_ack_ewma = true; use_send_ewma = true; use_rtt_ratio = t
    the runtime run on it: [make] is one flow behind a [Cc.t], and
    [plug] is every flow of a run behind a {!Tcp_sender} plug, so one
    copy of the arithmetic serves both.  At 10k flows the flat arrays
-   replace ~10k tracker/closure webs, and the per-ack update allocates
-   nothing unless a tally wants the [Memory.t] sample.  Lookups are
+   replace ~10k tracker/closure webs, and the per-ack update builds no
+   record unless a tally wants the [Memory.t] sample.  Lookups are
    counted locally and taken by the caller ([take_lookups]): {!Par}
    domains run this path, and one atomic add per ack would contend. *)
 type flows = {
@@ -93,9 +93,9 @@ let on_ack f i ~rtt ~sent_at ~received_at =
   apply3 f i ~ack_ewma:f.mem.raw_ack_ewma.(i)
     ~send_ewma:f.mem.raw_send_ewma.(i) ~rtt_ratio:f.mem.raw_rtt_ratio.(i)
 
-(* One flow behind a [Cc.t].  It runs single-domain (one closure per
-   simulated flow), so each callback publishes its lookup straight to
-   the process-wide counter. *)
+(* One flow behind a [Cc.t].  A [Cc.t] has no end-of-run hook, so each
+   callback publishes its lookups to the process-wide counter at once;
+   this face runs single-domain, so the atomic add does not contend. *)
 let make ?override ?tally ?mask ?idle_restart_s tree =
   let f = flows ?override ?tally ?mask ?idle_restart_s tree 1 in
   let publish () =

@@ -52,8 +52,8 @@ val plug :
   Remy_cc.Tcp_sender.plug
 (** The same runtime for every flow of a run at once, as the plug of a
     {!Remy_cc.Tcp_sender} bank ({!Fleet}): the memory signals, windows
-    and pacing gaps of all flows live in flat arrays, and an ack
-    allocates nothing unless [tally] wants memory samples.  Runs are
+    and pacing gaps of all flows live in flat arrays, and an ack builds
+    no record unless [tally] wants memory samples.  Runs are
     bit-identical to a bank of {!make} closures, which run the same
     arithmetic on one flow.  Rule lookups are added to
     {!Remy_obs.Counters.lookups} when the bank is flushed. *)

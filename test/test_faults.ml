@@ -295,6 +295,44 @@ let test_idle_restart_deterministic_under_outage () =
   Alcotest.(check bool) "idle restart stays deterministic" true
     (summaries (run ()) = summaries (run ()))
 
+let test_idle_restart_acts_after_outage () =
+  (* With a subdivided table the restart is visible: after a 2 s outage
+     the first ACK would fold a 2 s interarrival into the EWMAs, and the
+     restart drops it instead.  Both plugs run the same RemyCC state, so
+     the equivalence tests alone cannot see a restart that never fires. *)
+  let tree =
+    match Remy_scenarios.Tables.load "delta1" with
+    | Ok t -> t
+    | Error e -> Alcotest.fail e
+  in
+  let faults = parse_ok "outage:1+2" in
+  let run idle sender_factory =
+    let cc = Remy.Remycc.factory ?idle_restart_s:idle tree in
+    summaries
+      (Topology.run ~faults ?sender_factory
+         (Topology.of_dumbbell
+            {
+              Dumbbell.service = Dumbbell.Rate_mbps 10.;
+              qdisc = Dumbbell.Droptail 1000;
+              flows =
+                Array.init 2 (fun _ ->
+                    {
+                      Dumbbell.cc;
+                      rtt = 0.1;
+                      workload = Workload.saturating;
+                      start = `Immediate;
+                    });
+              duration = 6.;
+              seed = 21;
+              min_rto = Dumbbell.default_min_rto;
+            }))
+  in
+  Alcotest.(check bool) "closure plug: restart changes the run" false
+    (run None None = run (Some 0.5) None);
+  Alcotest.(check bool) "SoA plug: restart changes the run" false
+    (run None (Some (Remy.Fleet.factory tree))
+    = run (Some 0.5) (Some (Remy.Fleet.factory ~idle_restart_s:0.5 tree)))
+
 let test_fleet_matches_records_under_faults () =
   (* The SoA RemyCC plug and the closure plug run on one TCP sender;
      the fault layer and idle-restart must not break the bit-identical
@@ -489,4 +527,6 @@ let tests =
       test_chaos_corrupted_checkpoint_rejected;
     Alcotest.test_case "pool retries injected failure" `Quick
       test_chaos_pool_task_retried;
+    Alcotest.test_case "idle restart acts after an outage" `Slow
+      test_idle_restart_acts_after_outage;
   ]

@@ -37,7 +37,8 @@ let test_grid_rejects_bad_args () =
     (Invalid_argument "Probe.times: until must be non-negative") (fun () ->
       ignore (Probe.times ~interval:1. ~until:(-1.)))
 
-let run_probed ~n ~duration ~probe_interval =
+let run_probed ?(workload = Workload.saturating) ?(start = `Immediate) ~n
+    ~duration ~probe_interval () =
   let sink, read = Remy_obs.Sink.memory () in
   let cfg =
     Topology.of_dumbbell
@@ -49,8 +50,8 @@ let run_probed ~n ~duration ~probe_interval =
               {
                 Dumbbell.cc = Newreno.factory ();
                 rtt = 0.05;
-                workload = Workload.saturating;
-                start = `Immediate;
+                workload;
+                start;
               });
         duration;
         seed = 77;
@@ -64,7 +65,7 @@ let filter_ev records kind =
   List.filter (fun r -> R.find "ev" r = Some (R.Str kind)) records
 
 let test_sampler_fires_at_interval () =
-  let records = run_probed ~n:2 ~duration:1.0 ~probe_interval:0.25 in
+  let records = run_probed ~n:2 ~duration:1.0 ~probe_interval:0.25 () in
   let qsamples = filter_ev records "qsample" in
   let fsamples = filter_ev records "fsample" in
   (* 0, 0.25, 0.5, 0.75, 1.0 *)
@@ -73,7 +74,7 @@ let test_sampler_fires_at_interval () =
     (List.length fsamples)
 
 let test_final_sample_at_sim_end () =
-  let records = run_probed ~n:1 ~duration:1.1 ~probe_interval:0.25 in
+  let records = run_probed ~n:1 ~duration:1.1 ~probe_interval:0.25 () in
   let qsamples = filter_ev records "qsample" in
   (* 0, 0.25, 0.5, 0.75, 1.0, 1.1 *)
   Alcotest.(check int) "trailing partial interval still sampled" 6
@@ -83,7 +84,7 @@ let test_final_sample_at_sim_end () =
     (Option.bind (R.find "t" last) R.to_float)
 
 let test_samples_carry_state () =
-  let records = run_probed ~n:1 ~duration:2.0 ~probe_interval:0.5 in
+  let records = run_probed ~n:1 ~duration:2.0 ~probe_interval:0.5 () in
   (* After startup, a saturating NewReno flow has positive cwnd and a
      measured srtt; the queue sample sees the droptail bottleneck. *)
   let late_fsamples =
@@ -110,6 +111,23 @@ let test_samples_carry_state () =
       (Option.bind (R.find "q" r) R.to_str)
   | [] -> Alcotest.fail "no qsamples"
 
+let test_off_flow_reports_initial_window () =
+  (* A flow still in its initial off period has never been reset; its
+     samples report its controller's initial window (NewReno's 2), not
+     an unset value. *)
+  let records =
+    run_probed ~start:`Off_draw
+      ~workload:(Workload.by_time ~mean_on:1.0 ~mean_off:1e6)
+      ~n:1 ~duration:0.5 ~probe_interval:0.25 ()
+  in
+  let fsamples = filter_ev records "fsample" in
+  Alcotest.(check int) "a sample per grid point" 3 (List.length fsamples);
+  List.iter
+    (fun r ->
+      Alcotest.(check (option (float 0.))) "initial window" (Some 2.)
+        (Option.bind (R.find "cwnd" r) R.to_float))
+    fsamples
+
 let tests =
   [
     Alcotest.test_case "grid is exact" `Quick test_grid_exact;
@@ -119,4 +137,6 @@ let tests =
       test_sampler_fires_at_interval;
     Alcotest.test_case "final sample at sim end" `Slow test_final_sample_at_sim_end;
     Alcotest.test_case "samples carry live state" `Slow test_samples_carry_state;
+    Alcotest.test_case "off flow reports its initial window" `Slow
+      test_off_flow_reports_initial_window;
   ]
