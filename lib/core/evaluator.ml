@@ -59,8 +59,8 @@ let specimen_flow_summaries ?override ?tally ?topology ~queue_capacity ~duration
       in
       { config with Topology.min_rto = 1.0 }
   in
-  (* The SoA fleet behaves exactly as [cc_factory] on per-record
-     senders and scales to thousands of flows; a fresh factory per run. *)
+  (* The SoA fleet behaves exactly as [cc_factory] on the closure plug
+     and scales to thousands of flows; a fresh factory per run. *)
   let sender_factory = Fleet.factory ?override ?tally tree in
   (timed_sim (fun () -> Topology.run ~sender_factory config)).Topology.flows
 

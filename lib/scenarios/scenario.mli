@@ -72,7 +72,8 @@ val replicate :
     (fault draws are seeded per replication from the run seed, so each
     replication sees different drop/reorder realizations of the same
     schedule).  [sender_factory], when given, makes a fresh sender
-    backend per replication in place of per-record senders. *)
+    backend per replication in place of the closure-plug bank
+    ({!Remy_cc.Sender_backend.records}). *)
 
 val config : t -> Schemes.t -> seed:int -> Remy_cc.Dumbbell.config
 (** The dumbbell of one replication: the scheme's factory and qdisc
@@ -86,7 +87,7 @@ val run_scheme :
   Schemes.t ->
   summary
 (** {!replicate} over {!config}, with seeds from [t.base_seed], on
-    per-record senders built from [scheme.factory]. *)
+    the closure-plug bank running [scheme.factory] per flow. *)
 
 val run_all : t -> Schemes.t list -> summary list
 

@@ -15,7 +15,7 @@ type t = {
   tree : Remy.Rule_tree.t option;
       (** the rule table behind a RemyCC scheme; lets runners substitute
           the structure-of-arrays {!Remy.Fleet} backend for the
-          per-record one (identical results, scales to 10k flows) *)
+          closure-plug one (identical results, scales to 10k flows) *)
   idle_restart_s : float option;
       (** the RemyCC's idle-restart threshold, which the fleet backend
           must apply as [factory] does; [None] = off *)

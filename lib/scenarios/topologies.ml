@@ -5,7 +5,7 @@ open Remy_sim
    same replicated experiment shape as {!Scenario}, but the network is
    built by a named {!Topology} builder instead of the dumbbell.
    RemyCC schemes run on the structure-of-arrays {!Remy.Fleet}
-   backend — bit-identical to the per-record one, and the reason a
+   backend — bit-identical to the closure-plug one, and the reason a
    10k-flow incast is feasible from the CLI. *)
 
 type t = {
@@ -52,7 +52,7 @@ let config t ~(scheme : Schemes.t) ~seed =
     ~duration:t.duration ~seed ()
 
 (* RemyCC schemes get the SoA fleet, with the scheme's idle restart;
-   everything else keeps the per-record backend (the fleet is
+   everything else keeps the closure-plug backend (the fleet is
    RemyCC-specialized). *)
 let sender_factory_of (scheme : Schemes.t) =
   Option.map

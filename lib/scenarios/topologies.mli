@@ -5,8 +5,8 @@
     network built by a {!Remy_cc.Topology} builder ("parking-lot",
     "fat-tree-pod", "incast") instead of the dumbbell.  RemyCC schemes
     are simulated on the structure-of-arrays {!Remy.Fleet} sender
-    backend (bit-identical to the per-record one), which is what makes
-    a 10k-flow incast run feasible from the CLI. *)
+    backend (bit-identical to one {!Remy.Remycc} closure per flow),
+    which is what makes a 10k-flow incast run feasible from the CLI. *)
 
 type t = {
   topology : string;  (** a name from {!names} *)

@@ -106,7 +106,7 @@ let test_fleet_matches_records_incast () =
 
 let test_fleet_matches_records_lossy () =
   (* Stochastic loss drives dup-ack recovery, partial acks, and RTO
-     go-back-N — the fleet's hairiest mirrored paths. *)
+     go-back-N — the hairiest paths a plug is called on. *)
   let tree = make_tree () in
   let rtt = 0.08 in
   let cfg =

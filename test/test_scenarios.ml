@@ -73,8 +73,8 @@ let test_rtts_broadcast () =
 let test_topology_remy_idle_restart () =
   (* Topologies runs RemyCC schemes on the SoA fleet; the scheme's idle
      restart must reach it, so the run equals the same network on
-     per-record senders, which [Remycc.factory ?idle_restart_s]
-     drives.  The outages make idle restart fire. *)
+     the closure plug, which [Remycc.factory ?idle_restart_s] drives.
+     The outages make idle restart fire. *)
   let tree =
     match Tables.load "delta1" with Ok t -> t | Error e -> Alcotest.fail e
   in
